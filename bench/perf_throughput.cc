@@ -29,7 +29,6 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -79,7 +78,7 @@ struct PointResult
  */
 PointResult
 measurePoint(BenchId bench, ProtocolKind protocol, double scale,
-             std::uint64_t seed, unsigned reps, unsigned sim_threads = 1)
+             std::uint64_t seed, unsigned reps)
 {
     PointResult point;
     point.bench = bench;
@@ -89,7 +88,6 @@ measurePoint(BenchId bench, ProtocolKind protocol, double scale,
         GpuConfig cfg = GpuConfig::gtx480();
         cfg.protocol = protocol;
         cfg.seed = seed;
-        cfg.simThreads = sim_threads;
         cfg.core.txWarpLimit = optimalConcurrency(bench, protocol);
 
         auto workload = makeWorkload(bench, scale, seed);
@@ -124,106 +122,17 @@ measurePoint(BenchId bench, ProtocolKind protocol, double scale,
     return point;
 }
 
-/** One row of the --sim-threads scaling curve. */
-struct ScalingRow
-{
-    unsigned threads = 1;
-    double wallBestSec = 0.0;
-    double cyclesPerSec = 0.0;
-    double speedup = 1.0; // vs the 1-thread row of the same curve
-};
-
-/** One protocol's threads-vs-throughput curve. */
-struct ScalingCurve
-{
-    BenchId bench = BenchId::HtH;
-    ProtocolKind protocol = ProtocolKind::Getm;
-    std::vector<ScalingRow> rows;
-
-    double
-    t1Rate() const
-    {
-        for (const ScalingRow &row : rows)
-            if (row.threads == 1)
-                return row.cyclesPerSec;
-        return 0.0;
-    }
-
-    double
-    speedupAt4() const
-    {
-        for (const ScalingRow &row : rows)
-            if (row.threads == 4)
-                return row.speedup;
-        return 0.0;
-    }
-};
-
-/**
- * Threads-vs-throughput curve: rerun one (bench, protocol) point at
- * --sim-threads 1/2/4/8. Simulated results are byte-identical by
- * contract (docs/PARALLELISM.md), so only wall time moves. Curves run
- * for GETM, WarpTM-LL, and EAPG — the latter two exercise the
- * commit-id reservation path, which must scale like the core-private
- * protocols, not serialize on the shared counter.
- */
-ScalingCurve
-measureScaling(BenchId bench, ProtocolKind protocol, double scale,
-               std::uint64_t seed, unsigned reps)
-{
-    ScalingCurve curve;
-    curve.bench = bench;
-    curve.protocol = protocol;
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        const PointResult p =
-            measurePoint(bench, protocol, scale, seed, reps, threads);
-        ScalingRow row;
-        row.threads = threads;
-        row.wallBestSec = p.wallBestSec;
-        row.cyclesPerSec = p.cyclesPerSec;
-        row.speedup = curve.rows.empty() || p.wallBestSec <= 0.0
-                          ? 1.0
-                          : curve.rows.front().wallBestSec /
-                                p.wallBestSec;
-        curve.rows.push_back(row);
-    }
-    return curve;
-}
-
-/** Emit one scaling curve's rows plus the cmake integer mirrors. */
-void
-writeScalingCurve(JsonWriter &w, const ScalingCurve &curve,
-                  bool host_threads)
-{
-    w.member("bench", benchName(curve.bench));
-    w.member("protocol", protocolName(curve.protocol));
-    if (host_threads)
-        w.member("host_hw_threads",
-                 std::thread::hardware_concurrency());
-    w.key("points").beginArray();
-    for (const ScalingRow &row : curve.rows) {
-        w.beginObject();
-        w.member("threads", row.threads);
-        w.member("wall_best_s", row.wallBestSec);
-        w.member("cycles_per_sec", row.cyclesPerSec);
-        w.member("speedup", row.speedup);
-        w.endObject();
-    }
-    w.endArray();
-    w.member("t1_cycles_per_sec_int",
-             static_cast<std::uint64_t>(curve.t1Rate()));
-    w.member("speedup_x100_at_4",
-             static_cast<std::uint64_t>(curve.speedupAt4() * 100.0));
-}
-
 void
 writeReport(const std::string &path, const char *mode, double scale,
-            unsigned reps, const std::vector<PointResult> &points,
-            const std::vector<ScalingCurve> &scaling)
+            unsigned reps, const std::vector<PointResult> &points)
 {
     std::vector<double> rates;
-    for (const PointResult &p : points)
+    double guard_rate = 0.0;
+    for (const PointResult &p : points) {
         rates.push_back(p.cyclesPerSec);
+        if (p.bench == BenchId::HtH && p.protocol == ProtocolKind::Getm)
+            guard_rate = p.cyclesPerSec;
+    }
     const double geo = gmean(rates);
 
     JsonWriter w;
@@ -250,24 +159,10 @@ writeReport(const std::string &path, const char *mode, double scale,
     w.member("geomean_cycles_per_sec_int",
              static_cast<std::uint64_t>(geo));
 
-    // --sim-threads scaling curves. "thread_scaling" keeps its
-    // original shape (the first curve, GETM) so existing baselines and
-    // scripts keep working; "thread_scaling_curves" lists every
-    // protocol measured. The integer mirrors feed
-    // tools/run_perf_bench.cmake: the 1-thread rate backs the
-    // single-thread regression guard, the x100 speedup backs the
-    // CI-only >=2x-at-4-threads assertion, and the host thread count
-    // lets the script skip that assertion on small hosts.
-    w.key("thread_scaling").beginObject();
-    writeScalingCurve(w, scaling.front(), true);
-    w.endObject();
-    w.key("thread_scaling_curves").beginArray();
-    for (const ScalingCurve &curve : scaling) {
-        w.beginObject();
-        writeScalingCurve(w, curve, false);
-        w.endObject();
-    }
-    w.endArray();
+    // HT-H/GETM rate, mirrored for tools/run_perf_bench.cmake's
+    // tighter single-point regression guard.
+    w.member("guard_cycles_per_sec_int",
+             static_cast<std::uint64_t>(guard_rate));
 
     w.member("max_rss_kib", peakRssKib());
     w.endObject();
@@ -354,28 +249,7 @@ main(int argc, char **argv)
                 gmean(rates) / 1e6,
                 static_cast<unsigned long long>(peakRssKib()));
 
-    // GETM first: its curve doubles as the back-compat
-    // "thread_scaling" object and the single-thread guard point.
-    const std::vector<ProtocolKind> scaling_protocols = {
-        ProtocolKind::Getm, ProtocolKind::WarpTmLL, ProtocolKind::Eapg};
-    std::vector<ScalingCurve> scaling;
-    for (ProtocolKind protocol : scaling_protocols) {
-        std::printf("\n--sim-threads scaling (%s/%s, %u hardware "
-                    "threads)\n",
-                    benchName(BenchId::HtH), protocolName(protocol),
-                    std::thread::hardware_concurrency());
-        std::printf("%-8s %14s %14s %10s\n", "threads", "wall_best_s",
-                    "Mcycles/s", "speedup");
-        scaling.push_back(measureScaling(BenchId::HtH, protocol, scale,
-                                         seed, reps));
-        for (const ScalingRow &row : scaling.back().rows)
-            std::printf("%-8u %14.4f %14.2f %9.2fx\n", row.threads,
-                        row.wallBestSec, row.cyclesPerSec / 1e6,
-                        row.speedup);
-    }
-
-    writeReport(out, smoke ? "smoke" : "full", scale, reps, points,
-                scaling);
+    writeReport(out, smoke ? "smoke" : "full", scale, reps, points);
     std::printf("wrote %s\n", out.c_str());
     return 0;
 }

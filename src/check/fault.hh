@@ -13,10 +13,9 @@
  * owns a *separate* injector whose counter-based stream is derived from
  * the run seed and the component's identity (GpuSystem seeds core c
  * with `seed ^ c`). A component's fire() sequence therefore depends
- * only on its own decision history — never on how components interleave
- * across worker threads — which is what lets `--inject` runs keep the
- * parallel cycle loop (docs/PARALLELISM.md) instead of forcing
- * sim_threads = 1.
+ * only on its own decision history, never on what other components
+ * decided, which keeps `--inject` results fixed: the inject fixtures in
+ * tests/golden/cli/ pin the exact corrupted runs these streams produce.
  *
  * Faults corrupt *isolation*, never the engines' internal bookkeeping:
  * e.g. ForceStoreGrant still records the write reservation so GETM's

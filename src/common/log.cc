@@ -61,20 +61,6 @@ inform(const char *fmt, ...)
 }
 
 void
-debugLog(const char *fmt, ...)
-{
-    // One-time env probe: debug output is for humans chasing a loop
-    // or budget decision, never part of any golden output.
-    static const bool enabled = std::getenv("GETM_DEBUG") != nullptr;
-    if (!enabled)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("debug", fmt, ap);
-    va_end(ap);
-}
-
-void
 setVerbose(bool verbose)
 {
     verboseEnabled = verbose;

@@ -29,15 +29,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Report a normal status message. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/**
- * Report a developer-level detail (loop selection, budget clamps).
- * Silent unless the GETM_DEBUG environment variable is set, so routine
- * runs and golden stdout fixtures never see it. (Named debugLog to
- * stay clear of the getm::debug dump namespace in common/debug.hh.)
- */
-void debugLog(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
 /** Enable/disable inform() output (benches silence it). */
 void setVerbose(bool verbose);
 

@@ -39,7 +39,7 @@ enum class SimErrorKind : std::uint8_t
     Config,     ///< Invalid configuration rejected up front.
     Internal,   ///< Escaped internal error, wrapped for reporting.
     Checkpoint, ///< Unusable checkpoint file (corrupt, skewed, wrong).
-    Interrupt,  ///< SIGINT/SIGTERM clean stop at an epoch boundary.
+    Interrupt,  ///< SIGINT/SIGTERM clean stop at a cycle boundary.
 };
 
 /** Stable upper-case kind name ("DEADLOCK", "LIVELOCK", ...). */

@@ -27,30 +27,20 @@ namespace getm {
 /**
  * GPU-wide stall-buffer occupancy tracker (Fig. 15 measures the total
  * across all partitions at any instant).
- *
- * add()/remove() are virtual so the parallel cycle loop can install a
- * deferring proxy per partition worker: the transient peak depends on
- * the order partitions touch the shared gauge within a cycle, so
- * worker-side updates are recorded and replayed in partition order at
- * the cycle barrier (docs/PARALLELISM.md). The calls only fire on
- * stall-buffer enqueue/dequeue — far off the per-cycle hot path — so
- * the indirection is free in practice.
  */
 struct StallOccupancyTracker
 {
     unsigned current = 0;
     unsigned peak = 0;
 
-    virtual ~StallOccupancyTracker() = default;
-
-    virtual void
+    void
     add()
     {
         if (++current > peak)
             peak = current;
     }
 
-    virtual void
+    void
     remove()
     {
         --current;

@@ -77,10 +77,6 @@ applyKey(GpuConfig &cfg, const std::string &key, std::uint64_t value)
         cfg.traceTx = value;
     else if (key == "watchdog_cycles")
         cfg.watchdogCycles = value;
-    else if (key == "sim_threads")
-        cfg.simThreads = static_cast<unsigned>(value);
-    else if (key == "sim_epoch")
-        cfg.simEpoch = static_cast<unsigned>(value);
     else if (key == "hot_addrs")
         cfg.hotAddrTopN = static_cast<unsigned>(value);
     else if (key == "seed")
@@ -95,10 +91,8 @@ applyKey(GpuConfig &cfg, const std::string &key, std::uint64_t value)
  * checker/injection/timeout keys are deliberately absent from
  * configProvenance(): enabling validation or a safety net must not
  * change a run's reported configuration or sweep spec hashes
- * (watchdog_cycles, trace_tx, sim_threads, and sim_epoch, handled by
- * the numeric parser, are excluded for the same reason — the first two
- * are observe-only and the parallel-loop knobs are determinism-neutral
- * by contract).
+ * (watchdog_cycles and trace_tx, handled by the numeric parser, are
+ * excluded for the same reason: both are observe-only).
  */
 bool
 applyStringKey(GpuConfig &cfg, const std::string &key,
@@ -211,10 +205,6 @@ validateGpuConfig(const GpuConfig &cfg, std::string &error)
         return reject("inject_prob must be within [0, 1]");
     if (cfg.timeoutSec < 0.0)
         return reject("timeout_sec must be non-negative");
-    if (cfg.simThreads == 0)
-        return reject("sim_threads must be nonzero");
-    if (cfg.simEpoch == 0)
-        return reject("sim_epoch must be nonzero");
     return true;
 }
 

@@ -115,40 +115,25 @@ struct GpuConfig
     std::uint64_t seed = 12345;
 
     /**
-     * Run the pre-wake-list tick-everything main loop instead of the
-     * event-driven scheduler (also forced by the GETM_LEGACY_LOOP
-     * environment variable). Escape hatch while the wake-list loop
-     * beds in; slated for removal once it has soaked for a release.
+     * Run the reference loop that ticks every component on every
+     * visited cycle instead of the event-driven scheduler. The two are
+     * timing-equivalent; test_scheduler_equivalence uses this loop as
+     * the oracle the event loop is compared against.
      */
     bool legacyLoop = false;
 
     /**
-     * Worker threads for the per-cycle simulation loop (1 = the serial
-     * event-driven loop). Any value produces byte-identical results for
-     * every protocol — the crossbar handoff serializes all
-     * cross-component traffic in a deterministic order, WarpTM/EAPG
-     * commit ids go through a reservation scheme, and fault injection
-     * draws from per-component counter streams (docs/PARALLELISM.md) —
-     * so, like checkLevel and watchdogCycles, this is never part of
-     * config provenance.
+     * Inert: nothing reads this field. It is the thread count of a
+     * multi-threaded cycle loop that has been removed (the serial event
+     * loop is the only production loop). It remains only because the
+     * benchmark driver perfbench/getm_perfbench.cc still assigns it; a
+     * later change to that driver removes the field.
      */
     unsigned simThreads = 1;
 
     /**
-     * Maximum simulated cycles per synchronization epoch of the
-     * parallel loop (1 = barrier every cycle). When both crossbars are
-     * empty and no rollover or telemetry boundary is due, workers run
-     * up to this many cycles between barriers; the loop caps the value
-     * at xbar.latency + 1, which guarantees no message produced inside
-     * an epoch could also arrive inside it, so results stay
-     * byte-identical and this too is excluded from provenance.
-     * Ignored (treated as 1) when simThreads <= 1.
-     */
-    unsigned simEpoch = 1;
-
-    /**
      * Periodic checkpointing: write a snapshot every N simulated cycles
-     * (0 = off). Snapshots land on the first epoch barrier at or after
+     * (0 = off). Snapshots land on the first visited cycle at or after
      * each boundary, the same alignment rule the telemetry sampler
      * uses. Like checkLevel, never part of config provenance — and the
      * config hash embedded in checkpoint files is computed over

@@ -3,19 +3,16 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 
 #include "check/checker.hh"
 #include "check/fault.hh"
 #include "ckpt/checkpoint.hh"
 #include "ckpt/serial.hh"
-#include "common/cycle_workers.hh"
 #include "common/log.hh"
 #include "common/stop_flag.hh"
 #include "core/getm_core_tm.hh"
 #include "gpu/config_file.hh"
-#include "gpu/deferred_sinks.hh"
 #include "eapg/eapg.hh"
 #include "warptm/wtm_core_tm.hh"
 #include "warptm/wtm_partition.hh"
@@ -153,10 +150,11 @@ GpuSystem::GpuSystem(const GpuConfig &config)
         cfg.injectFault < static_cast<unsigned>(FaultKind::Count)) {
         // One injector per component, each with a counter stream derived
         // from the component's identity, so a component's Bernoulli
-        // draws depend only on its own decision history — never on how
-        // components interleave across sim worker threads. Partitions
-        // take a disjoint seed offset so core c and partition c (same
-        // seed ^ id otherwise) do not share a stream.
+        // draws depend only on its own decision history. That pins
+        // --inject results: a fault firing in one component cannot shift
+        // the draws of any other. Partitions take a disjoint seed offset
+        // so core c and partition c (same seed ^ id otherwise) do not
+        // share a stream.
         const auto kind = static_cast<FaultKind>(cfg.injectFault);
         for (CoreId c = 0; c < cfg.numCores; ++c)
             faultInjectors.push_back(std::make_unique<FaultInjector>(
@@ -475,14 +473,6 @@ SimDiagnostic
 GpuSystem::buildDiagnostic(SimErrorKind kind, std::string message,
                            Cycle now, Cycle since_progress)
 {
-    // Under the parallel loop, core-side abort attribution lives in
-    // per-core shards until the end of the run; fold it in so the
-    // hot-address table below is complete (absorbing clears the
-    // shards, so the final end-of-run merge stays correct).
-    if (activeShards)
-        for (ObsShard &shard : *activeShards)
-            observability.absorbShard(shard);
-
     SimDiagnostic diag;
     diag.kind = kind;
     diag.message = std::move(message);
@@ -569,8 +559,8 @@ GpuSystem::runLegacyLoop(const Kernel &kernel, Cycle max_cycles)
             core->tick(now);
 
         // EL commit micro-phase: commits the engines parked during the
-        // ticks run serially in core order, in every loop flavour, so
-        // one-thread and N-thread runs share one schedule.
+        // ticks run in core order after every core ticked, in both
+        // loops, so the two share one schedule.
         if (el_micro)
             for (auto &core : coreArray)
                 core->runDeferredProtocolWork(now);
@@ -724,527 +714,6 @@ GpuSystem::runEventLoop(const Kernel &kernel, Cycle max_cycles)
     return now;
 }
 
-namespace {
-
-/** One xbarUp.send() recorded on a worker thread for serial replay. */
-struct StagedSend
-{
-    PartitionId part;
-    unsigned bytes;
-    Cycle sentAt; ///< Sending core's clock at the original call.
-    MemMsg msg;
-};
-
-/**
- * Per-core send staging with the same replay slots as CoreEventBuffer
- * (deferred_sinks.hh): for an epoch of K cycles, slot 2j holds the
- * deliver-stage sends of the epoch's cycle j and slot 2j+1 its
- * tick-stage sends (K = 1 is the classic two-bucket scheme). Replaying
- * slot-major across cores in id order reproduces the serial loops'
- * global send order exactly, and CrossbarTiming::route() timing depends
- * only on its arguments and the port-free state evolved in call order —
- * so the replayed messages get byte-identical arrival cycles, sequence
- * numbers, and stats.
- */
-struct CoreSendStage
-{
-    std::vector<std::vector<StagedSend>> buckets;
-    unsigned cur = 0;
-
-    explicit CoreSendStage(unsigned slots = 2) : buckets(slots) {}
-};
-
-/** One partition down-crossbar injection staged for serial replay. */
-struct StagedDownSend
-{
-    CoreId core;
-    unsigned bytes;
-    Cycle when; ///< The response's ready cycle (crossbar send time).
-    MemMsg msg;
-};
-
-/**
- * Per-partition send staging: one slot per epoch cycle (partitions have
- * no deliver stage — their inbound pops happen inside tick()). Replayed
- * before the same cycle's core slots, in partition order — the serial
- * loops tick partitions first.
- */
-struct PartSendStage
-{
-    std::vector<std::vector<StagedDownSend>> buckets;
-    unsigned cur = 0;
-
-    explicit PartSendStage(unsigned slots = 1) : buckets(slots) {}
-};
-
-} // namespace
-
-unsigned
-GpuSystem::effectiveSimThreads() const
-{
-    unsigned threads = cfg.simThreads;
-    if (threads <= 1)
-        return 1;
-    if (threads > cfg.numCores) {
-        debugLog("sim_threads=%u exceeds the %u simulated cores; clamping",
-              threads, cfg.numCores);
-        threads = cfg.numCores;
-    }
-    return threads;
-}
-
-Cycle
-GpuSystem::runParallelLoop(const Kernel &kernel, Cycle max_cycles,
-                           unsigned threads)
-{
-    // Cores — and, when there are enough of them to pay for the extra
-    // barrier, partitions — tick on worker threads; the crossbar
-    // handoff, commit-id assignment, telemetry, rollover, and the
-    // guards stay on the calling thread. Worker-side effects on shared
-    // objects are staged per component and replayed at the barrier in
-    // the serial loops' global order, which is what makes any thread
-    // count byte-identical to sim_threads=1 for every protocol
-    // (contract: docs/PARALLELISM.md).
-    const Cycle never = ~static_cast<Cycle>(0);
-    const unsigned ncores = static_cast<unsigned>(coreArray.size());
-    const unsigned nparts = static_cast<unsigned>(partArray.size());
-
-    // Relaxed epoch budget: up to cfg.simEpoch cycles between barriers
-    // while nothing is in flight, capped by the crossbar latency + 1 so
-    // no message staged inside an epoch could have arrived inside it
-    // (route() delivers no earlier than sent + latency + 1). WarpTM-EL
-    // is excluded: its commit micro-phase is a serial point every cycle.
-    const bool el_micro = cfg.protocol == ProtocolKind::WarpTmEL;
-    const bool getm_rollover =
-        cfg.protocol == ProtocolKind::Getm &&
-        cfg.rolloverThreshold != ~static_cast<LogicalTs>(0);
-    const unsigned epoch_max =
-        el_micro ? 1
-                 : std::min<unsigned>(std::max(1u, cfg.simEpoch),
-                                      static_cast<unsigned>(
-                                          cfg.xbar.latency) + 1);
-    if (epoch_max < cfg.simEpoch)
-        debugLog("sim_epoch=%u capped to %u (crossbar latency bound)",
-              cfg.simEpoch, epoch_max);
-
-    // Pooled partition ticking pays for its extra barrier only with
-    // enough partitions; below the threshold partitions stay on the
-    // calling thread (still staged when epochs are enabled).
-    const bool pool_parts = nparts >= 4;
-    const bool stage_parts = pool_parts || epoch_max > 1;
-    const unsigned core_slots = 2 * epoch_max;
-
-    std::vector<Cycle> coreWake(ncores, resumeCycle);
-    std::vector<Cycle> partWake(nparts, resumeCycle);
-
-    std::vector<CoreSendStage> sends(ncores, CoreSendStage(core_slots));
-    std::vector<ObsShard> shards(ncores);
-    const bool use_timeline = !cfg.timelinePath.empty();
-    const bool defer_events = txTracer || checker || use_timeline;
-    std::vector<CoreEventBuffer> events(defer_events ? ncores : 0);
-    for (CoreEventBuffer &buf : events)
-        buf.resize(core_slots);
-    std::vector<std::unique_ptr<DeferredObsSink>> tracer_proxies;
-    std::vector<std::unique_ptr<DeferredCheckSink>> check_proxies;
-    std::vector<std::unique_ptr<DeferredTimeline>> timeline_proxies;
-
-    for (CoreId c = 0; c < ncores; ++c) {
-        coreArray[c]->setObserver(&shards[c]);
-        coreArray[c]->setSendFn([this, c, &sends](MemMsg &&msg) {
-            CoreSendStage &stage = sends[c];
-            stage.buckets[stage.cur].push_back(StagedSend{
-                msg.partition, msg.bytes, coreArray[c]->now(),
-                std::move(msg)});
-        });
-        if (txTracer) {
-            tracer_proxies.push_back(std::make_unique<DeferredObsSink>(
-                events[c], *txTracer));
-            coreArray[c]->setTracer(tracer_proxies.back().get());
-        }
-        if (checker) {
-            check_proxies.push_back(std::make_unique<DeferredCheckSink>(
-                events[c], *checker));
-            coreArray[c]->setChecker(check_proxies.back().get());
-        }
-        if (use_timeline) {
-            timeline_proxies.push_back(
-                std::make_unique<DeferredTimeline>(events[c], timeline));
-            coreArray[c]->setTimeline(timeline_proxies.back().get());
-        }
-    }
-
-    // Partition staging: down-crossbar injections and every
-    // shared-sink call (observability hub, tracer, checker, and the
-    // GPU-wide stall gauge) are recorded per partition and replayed in
-    // partition order at the barrier. The hub proxy is unconditional —
-    // unlike cores, partitions report conflict/stall attribution into
-    // the order-sensitive hub directly rather than into shards.
-    std::vector<PartSendStage> partSends(stage_parts ? nparts : 0,
-                                         PartSendStage(epoch_max));
-    std::vector<CoreEventBuffer> partEvents(stage_parts ? nparts : 0);
-    std::vector<std::unique_ptr<DeferredObsSink>> part_obs_proxies;
-    std::vector<std::unique_ptr<DeferredObsSink>> part_tracer_proxies;
-    std::vector<std::unique_ptr<DeferredCheckSink>> part_check_proxies;
-    std::vector<std::unique_ptr<DeferredStallTracker>> stall_proxies;
-    if (stage_parts) {
-        for (PartitionId p = 0; p < nparts; ++p) {
-            partEvents[p].resize(epoch_max);
-            partArray[p]->setDownSendFn(
-                [&partSends, p](MemMsg &&msg, Cycle when) {
-                    PartSendStage &stage = partSends[p];
-                    stage.buckets[stage.cur].push_back(StagedDownSend{
-                        msg.core, msg.bytes, when, std::move(msg)});
-                });
-            part_obs_proxies.push_back(std::make_unique<DeferredObsSink>(
-                partEvents[p], observability));
-            partArray[p]->setObserver(part_obs_proxies.back().get());
-            if (txTracer) {
-                part_tracer_proxies.push_back(
-                    std::make_unique<DeferredObsSink>(partEvents[p],
-                                                      *txTracer));
-                partArray[p]->setTracer(
-                    part_tracer_proxies.back().get());
-            }
-            if (checker) {
-                part_check_proxies.push_back(
-                    std::make_unique<DeferredCheckSink>(partEvents[p],
-                                                        *checker));
-                partArray[p]->setChecker(
-                    part_check_proxies.back().get());
-            }
-        }
-        for (std::size_t p = 0; p < getmUnits.size(); ++p) {
-            stall_proxies.push_back(
-                std::make_unique<DeferredStallTracker>(partEvents[p],
-                                                       stallTracker));
-            getmUnits[p]->stallBuffer().setTracker(
-                stall_proxies.back().get());
-        }
-    }
-
-    // WarpTM/EAPG: commit ids go through the reservation scheme so the
-    // live allocation in the core tick never races (wtm_common.hh).
-    WtmShared *const wtm = wtmShared.get();
-    if (wtm)
-        wtm->beginStaging(ncores, core_slots);
-
-    activeShards = &shards;
-
-    // Rewire everything back to the shared objects and fold the shard
-    // counters into the hub. Runs on every exit path — the staging
-    // callbacks capture locals of this frame, and run()'s result
-    // gathering expects the serial wiring.
-    auto restore = [&] {
-        for (CoreId c = 0; c < ncores; ++c) {
-            coreArray[c]->setObserver(&observability);
-            coreArray[c]->setSendFn([this, c](MemMsg &&msg) {
-                const PartitionId part = msg.partition;
-                const unsigned bytes = msg.bytes;
-                xbarUp.send(c, part, bytes, coreArray[c]->now(),
-                            std::move(msg));
-            });
-            if (txTracer)
-                coreArray[c]->setTracer(txTracer.get());
-            if (checker)
-                coreArray[c]->setChecker(checker.get());
-            if (use_timeline)
-                coreArray[c]->setTimeline(&timeline);
-        }
-        if (stage_parts) {
-            for (PartitionId p = 0; p < nparts; ++p) {
-                partArray[p]->setDownSendFn(nullptr);
-                partArray[p]->setObserver(&observability);
-                if (txTracer)
-                    partArray[p]->setTracer(txTracer.get());
-                if (checker)
-                    partArray[p]->setChecker(checker.get());
-            }
-            for (GetmPartitionUnit *unit : getmUnits)
-                unit->stallBuffer().setTracker(&stallTracker);
-        }
-        if (wtm)
-            wtm->endStaging();
-        for (ObsShard &shard : shards)
-            observability.absorbShard(shard);
-        activeShards = nullptr;
-    };
-
-    // Commit the staged work of @p cycles_in_epoch simulated cycles in
-    // the serial loops' global per-cycle order. For each cycle j:
-    // partition sends then partition sink events (partition order —
-    // the serial loops tick partitions first), commit-id assignment
-    // for the cycle's deliver and tick stages (WtmShared, core order),
-    // then core sends (sentinel ids patched) and core events, deliver
-    // stage before tick stage, core order within each. Within a slot,
-    // sends replay before sink events; the only shared object hearing
-    // both is the tracer, whose nocHop() aggregation is commutative,
-    // so the relative order is unobservable.
-    auto flushSlots = [&](unsigned cycles_in_epoch) {
-        for (unsigned j = 0; j < cycles_in_epoch; ++j) {
-            if (stage_parts) {
-                for (PartitionId p = 0; p < nparts; ++p) {
-                    for (StagedDownSend &send : partSends[p].buckets[j])
-                        xbarDown.send(p, send.core, send.bytes,
-                                      send.when, std::move(send.msg));
-                    partSends[p].buckets[j].clear();
-                }
-                for (PartitionId p = 0; p < nparts; ++p)
-                    CoreEventBuffer::drain(partEvents[p].buckets[j]);
-            }
-            if (wtm) {
-                wtm->assignSlot(2 * j);
-                wtm->assignSlot(2 * j + 1);
-            }
-            for (unsigned stage = 0; stage < 2; ++stage) {
-                const unsigned slot = 2 * j + stage;
-                for (CoreId c = 0; c < ncores; ++c) {
-                    for (StagedSend &send : sends[c].buckets[slot]) {
-                        if (wtm)
-                            send.msg.txId =
-                                wtm->patchTxId(c, send.msg.txId);
-                        xbarUp.send(c, send.part, send.bytes,
-                                    send.sentAt, std::move(send.msg));
-                    }
-                    sends[c].buckets[slot].clear();
-                }
-                if (defer_events)
-                    for (CoreId c = 0; c < ncores; ++c)
-                        CoreEventBuffer::drain(events[c].buckets[slot]);
-            }
-        }
-    };
-
-    CycleWorkers pool(threads);
-
-    Cycle now = resumeCycle;
-    guard.wallStart = std::chrono::steady_clock::now();
-
-    try {
-        while (!allDone() || !drained(now)) {
-            checkGuards(kernel, now, max_cycles, guard);
-            // Iteration top is a barrier: all staged work of previous
-            // cycles is flushed and the WtmShared stages are dormant,
-            // so the machine is snapshot-consistent here.
-            checkpointTop(kernel, now);
-            if (wtm)
-                wtm->resetEpoch();
-
-            // Relaxed barrier: with both crossbars empty and no
-            // rollover due, nothing any component does before cycle
-            // now + epoch_max can reach another component (crossbar
-            // latency bound, see epoch_max above), so workers may run
-            // several cycles between syncs. Clamps keep the watchdog
-            // and the telemetry sampler observing the exact cycles
-            // they would have serially.
-            Cycle tend = now + 1;
-            if (epoch_max > 1 && !getm_rollover && !rolloverPending &&
-                xbarUp.idle() && xbarDown.idle()) {
-                tend = std::min(now + epoch_max, max_cycles);
-                if (cfg.watchdogCycles)
-                    tend = std::min(tend, guard.lastProgressCycle +
-                                              cfg.watchdogCycles);
-                if (observability.cycleSampler().enabled())
-                    tend = std::min(
-                        tend,
-                        observability.cycleSampler().nextSampleCycle());
-                tend = std::max(tend, now + 1);
-            }
-            const Cycle t0 = now;
-
-            if (tend == t0 + 1) {
-                // Lockstep cycle. Partition phase first: the serial
-                // loops tick partitions before cores, and a partition's
-                // store commit must be visible to same-cycle core
-                // loads, so the phases need a barrier between them.
-                if (pool_parts) {
-                    pool.run([&, t0](unsigned worker) {
-                        for (PartitionId p = worker; p < nparts;
-                             p += threads) {
-                            partSends[p].cur = 0;
-                            partEvents[p].cur = 0;
-                            if (partWake[p] <= t0 ||
-                                xbarUp.hasReady(p, t0)) {
-                                partArray[p]->tick(t0);
-                                partWake[p] =
-                                    partArray[p]->nextEventCycle(t0);
-                            }
-                        }
-                    });
-                } else {
-                    for (PartitionId p = 0; p < nparts; ++p) {
-                        if (stage_parts) {
-                            partSends[p].cur = 0;
-                            partEvents[p].cur = 0;
-                        }
-                        if (partWake[p] <= now ||
-                            xbarUp.hasReady(p, now)) {
-                            partArray[p]->tick(now);
-                            partWake[p] =
-                                partArray[p]->nextEventCycle(now);
-                        }
-                    }
-                }
-
-                // Core phase: worker w owns cores c with
-                // c % threads == w — deliveries then the tick,
-                // per-core work identical to the event loop. Each
-                // core's downward inbox has a single owner this phase
-                // (nothing sends down while cores run), and all upward
-                // traffic is staged.
-                pool.run([&, t0](unsigned worker) {
-                    for (CoreId c = worker; c < ncores; c += threads) {
-                        SimtCore &core = *coreArray[c];
-                        sends[c].cur = 0;
-                        if (defer_events)
-                            events[c].cur = 0;
-                        if (wtm)
-                            wtm->stages[c].cur = 0;
-                        if (xbarDown.hasReady(c, t0)) {
-                            do
-                                core.deliver(xbarDown.popReady(c), t0);
-                            while (xbarDown.hasReady(c, t0));
-                            // A delivery can unblock same-cycle work.
-                            if (coreWake[c] > t0)
-                                coreWake[c] = t0;
-                        }
-                        sends[c].cur = 1;
-                        if (defer_events)
-                            events[c].cur = 1;
-                        if (wtm)
-                            wtm->stages[c].cur = 1;
-                        if (coreWake[c] <= t0) {
-                            core.tick(t0);
-                            coreWake[c] = core.nextEventCycle(t0 + 1);
-                        }
-                    }
-                });
-
-                flushSlots(1);
-
-                // WarpTM-EL commit micro-phase: commits apply their
-                // write log core-side, so they run serially in core id
-                // order after the barrier — exactly where the serial
-                // loops run them. Their sends were staged into the
-                // tick bucket; flush again if any commit ran.
-                if (el_micro) {
-                    bool ran = false;
-                    for (CoreId c = 0; c < ncores; ++c) {
-                        if (coreArray[c]->runDeferredProtocolWork(now)) {
-                            coreWake[c] =
-                                coreArray[c]->nextEventCycle(now + 1);
-                            ran = true;
-                        }
-                    }
-                    if (ran)
-                        flushSlots(1);
-                }
-            } else {
-                // Epoch of tend - t0 quiescent cycles: one fused
-                // pool.run, no intermediate barrier. Partitions can
-                // only drain their own out-queues (the up crossbar is
-                // idle, so nothing pops, and protocol state only
-                // mutates on pops); cores see no deliveries (the down
-                // crossbar is idle and down-traffic is staged), so the
-                // phases touch disjoint state and every cross-cycle
-                // dependency is within one component.
-                pool.run([&, t0, tend](unsigned worker) {
-                    for (PartitionId p = worker; p < nparts;
-                         p += threads) {
-                        MemPartition &part = *partArray[p];
-                        for (Cycle t = std::max(t0, partWake[p]);
-                             t < tend;
-                             t = std::max(t + 1, partWake[p])) {
-                            const unsigned j =
-                                static_cast<unsigned>(t - t0);
-                            partSends[p].cur = j;
-                            partEvents[p].cur = j;
-                            part.tick(t);
-                            partWake[p] = part.nextEventCycle(t);
-                        }
-                    }
-                    for (CoreId c = worker; c < ncores; c += threads) {
-                        SimtCore &core = *coreArray[c];
-                        for (Cycle t = std::max(t0, coreWake[c]);
-                             t < tend;
-                             t = std::max(t + 1, coreWake[c])) {
-                            const unsigned slot =
-                                2 * static_cast<unsigned>(t - t0) + 1;
-                            sends[c].cur = slot;
-                            if (defer_events)
-                                events[c].cur = slot;
-                            if (wtm)
-                                wtm->stages[c].cur = slot;
-                            core.tick(t);
-                            coreWake[c] = core.nextEventCycle(t + 1);
-                        }
-                    }
-                });
-
-                flushSlots(static_cast<unsigned>(tend - t0));
-                now = tend - 1;
-            }
-
-            observability.cycleSampler().maybeSample(now);
-
-            if (getm_rollover || rolloverPending) {
-                const bool was_pending = rolloverPending;
-                maybeRollover(now);
-                // Rollover transitions abort warps from outside their
-                // tick(); the staging callbacks are still installed, so
-                // commit whatever they recorded (maybeRollover itself
-                // walks cores serially in id order, matching the replay
-                // order).
-                flushSlots(1);
-                if (rolloverPending != was_pending) {
-                    for (CoreId c = 0; c < ncores; ++c)
-                        coreWake[c] =
-                            coreArray[c]->nextEventCycle(now + 1);
-                    for (PartitionId p = 0; p < nparts; ++p)
-                        partWake[p] = partArray[p]->nextEventCycle(now);
-                }
-            }
-
-            Cycle next = never;
-            for (Cycle wake : coreWake)
-                next = std::min(next, wake);
-            for (Cycle wake : partWake)
-                next = std::min(next, wake);
-            next = std::min(next, xbarUp.nextArrival());
-            next = std::min(next, xbarDown.nextArrival());
-            if (next != never)
-                next = std::max(next, now + 1);
-            // Wake at sample boundaries too, so idle-cycle skipping
-            // cannot starve the telemetry series.
-            if (next != never &&
-                observability.cycleSampler().enabled())
-                next = std::max<Cycle>(
-                    now + 1,
-                    std::min(
-                        next,
-                        observability.cycleSampler().nextSampleCycle()));
-            if (next == never) {
-                if (allDone() && drained(now))
-                    break;
-                if (rolloverPending) {
-                    now = now + 1; // draining towards quiescence
-                    continue;
-                }
-                throw SimError(buildDiagnostic(
-                    SimErrorKind::Deadlock,
-                    "no future events at cycle " + std::to_string(now),
-                    now, now - guard.lastProgressCycle));
-            }
-            now = next;
-        }
-    } catch (...) {
-        restore();
-        throw;
-    }
-    restore();
-    return now;
-}
-
-
 std::uint64_t
 GpuSystem::checkpointHash(const Kernel &kernel,
                           std::uint64_t num_threads) const
@@ -1313,15 +782,6 @@ GpuSystem::ckptMachine(Ar &ar)
 void
 GpuSystem::saveCheckpoint(Cycle now)
 {
-    // Fold worker-local observability shards into the hub first: shard
-    // sums are commutative, so absorbing early cannot change the
-    // end-of-run report, and it makes the snapshot shard-free — a
-    // restored run starts with fresh, empty shards, exactly matching
-    // the just-absorbed state of the saving run.
-    if (activeShards)
-        for (ObsShard &shard : *activeShards)
-            observability.absorbShard(shard);
-
     ckpt::Writer ar;
     ckptMachine(ar);
     ckpt::Snapshot snap;
@@ -1417,15 +877,10 @@ GpuSystem::run(const Kernel &kernel, std::uint64_t num_threads,
     if (!cfg.restorePath.empty())
         restoreFromSnapshot();
 
-    const bool legacy = cfg.legacyLoop ||
-                        std::getenv("GETM_LEGACY_LOOP") != nullptr;
-    const unsigned sim_threads = legacy ? 1 : effectiveSimThreads();
     Cycle now = 0;
     try {
-        now = legacy ? runLegacyLoop(kernel, max_cycles)
-              : sim_threads > 1
-                  ? runParallelLoop(kernel, max_cycles, sim_threads)
-                  : runEventLoop(kernel, max_cycles);
+        now = cfg.legacyLoop ? runLegacyLoop(kernel, max_cycles)
+                             : runEventLoop(kernel, max_cycles);
     } catch (const SimError &err) {
         // Final snapshot beside the diagnostic: every SimError leaves
         // the machine at a cycle boundary (the guards and the

@@ -138,37 +138,10 @@ class GpuSystem
      */
     Cycle runEventLoop(const Kernel &kernel, Cycle max_cycles);
 
-    /** Pre-wake-list loop that ticks every component each visited
-     *  cycle (GpuConfig::legacyLoop / GETM_LEGACY_LOOP fallback). */
+    /** Reference loop that ticks every component each visited cycle
+     *  (GpuConfig::legacyLoop): the oracle the event loop is checked
+     *  against. */
     Cycle runLegacyLoop(const Kernel &kernel, Cycle max_cycles);
-
-    /**
-     * Multi-threaded variant of the event loop (cfg.simThreads > 1):
-     * SIMT cores — and, with enough partitions, the memory partitions —
-     * tick on a persistent worker pool; the crossbar handoff, commit-id
-     * assignment, telemetry, and rollover stay on the calling thread.
-     * All cross-component effects are staged per component and replayed
-     * at a per-cycle barrier in the serial loops' global order — so the
-     * results are byte-identical at any thread count, for every
-     * protocol (WarpTM/EAPG commit ids go through the WtmShared
-     * reservation scheme) and with fault injection enabled
-     * (per-component counter streams). With cfg.simEpoch > 1, quiescent
-     * stretches relax the barrier to one sync per epoch of up to
-     * simEpoch cycles, bounded by the crossbar latency so no staged
-     * message could have arrived inside the epoch. Full contract in
-     * docs/PARALLELISM.md.
-     */
-    Cycle runParallelLoop(const Kernel &kernel, Cycle max_cycles,
-                          unsigned threads);
-
-    /**
-     * Thread count the parallel loop will actually use: cfg.simThreads
-     * clamped to the core count. Every protocol runs parallel now; the
-     * historical serial fallbacks (shared WarpTM commit state, global
-     * fault-injection RNG) were removed when those subsystems became
-     * interleaving-independent.
-     */
-    unsigned effectiveSimThreads() const;
 
     /** GETM timestamp-rollover coordination; returns true if mid-flush. */
     void maybeRollover(Cycle now);
@@ -229,10 +202,10 @@ class GpuSystem
     void restoreFromSnapshot();
 
     /**
-     * Iteration-top durability hook, run by every loop at the start of
-     * each visited cycle (a barrier point of the parallel loop): the
-     * --ckpt-kill-at crash hook, pending SIGINT/SIGTERM (final
-     * checkpoint + SimError INTERRUPT), and the periodic checkpoint.
+     * Iteration-top durability hook, run by both loops at the start of
+     * each visited cycle: the --ckpt-kill-at crash hook, pending
+     * SIGINT/SIGTERM (final checkpoint + SimError INTERRUPT), and the
+     * periodic checkpoint.
      */
     void checkpointTop(const Kernel &kernel, Cycle now);
 
@@ -253,8 +226,8 @@ class GpuSystem
     /**
      * One injector per component when cfg.injectFault > 0: cores first
      * (index = CoreId), then partitions (index = numCores + PartitionId).
-     * Per-component counter streams keep fire() sequences independent of
-     * worker interleaving (check/fault.hh).
+     * Per-component counter streams keep each component's fire()
+     * sequence independent of every other component (check/fault.hh).
      */
     std::vector<std::unique_ptr<FaultInjector>> faultInjectors;
 
@@ -280,14 +253,6 @@ class GpuSystem
      * progress window and a restored run resumes it exactly.
      */
     GuardState guard;
-
-    /**
-     * Live per-core observability shards while the parallel loop runs
-     * (else null). buildDiagnostic() absorbs them into the hub first,
-     * so error snapshots see the complete hot-address table no matter
-     * which loop was running.
-     */
-    std::vector<ObsShard> *activeShards = nullptr;
 };
 
 } // namespace getm

@@ -35,30 +35,22 @@ namespace getm {
 class Timeline
 {
   public:
-    virtual ~Timeline() = default;
-
-    // The three core-facing recorders are virtual so the parallel cycle
-    // loop can hand each core a deferring proxy (obs/deferred_sinks.hh)
-    // that replays into the real recorder in deterministic order. The
-    // serial-stage recorders below (complete/counter/name*) stay
-    // non-virtual: only GpuSystem calls them.
-
     /** Open a span (Chrome "B" event). */
-    virtual void
+    void
     begin(CoreId core, std::uint32_t slot, const char *name, Cycle ts)
     {
         events.push_back({Kind::Begin, core, slot, name, ts, 0.0});
     }
 
     /** Close the innermost span (Chrome "E" event). */
-    virtual void
+    void
     end(CoreId core, std::uint32_t slot, Cycle ts)
     {
         events.push_back({Kind::End, core, slot, "", ts, 0.0});
     }
 
     /** Record an instant event (Chrome "i"). */
-    virtual void
+    void
     instant(CoreId core, std::uint32_t slot, const char *name, Cycle ts)
     {
         events.push_back({Kind::Instant, core, slot, name, ts, 0.0});

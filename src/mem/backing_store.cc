@@ -20,51 +20,19 @@ splitPage(std::uint64_t page_no, std::uint64_t &hi, std::uint64_t &lo,
 
 } // namespace
 
-BackingStore::~BackingStore()
-{
-    for (auto &leaf_slot : root) {
-        Leaf *leaf = leaf_slot.load(std::memory_order_relaxed);
-        if (!leaf)
-            continue;
-        for (auto &page_slot : *leaf)
-            delete[] page_slot.load(std::memory_order_relaxed);
-        delete leaf;
-    }
-}
-
 BackingStore::Word *
 BackingStore::pageFor(Addr addr)
 {
     const std::uint64_t page_no = addr / pageBytes;
     std::uint64_t hi, lo;
     splitPage(page_no, hi, lo, dirBits, dirFanout);
-
-    Leaf *leaf = root[hi].load(std::memory_order_acquire);
-    if (!leaf) {
-        auto fresh = std::make_unique<Leaf>();
-        Leaf *expected = nullptr;
-        if (root[hi].compare_exchange_strong(expected, fresh.get(),
-                                             std::memory_order_acq_rel))
-            leaf = fresh.release();
-        else
-            leaf = expected; // another worker won the insert
-    }
-
-    Word *page = (*leaf)[lo].load(std::memory_order_acquire);
-    if (!page) {
-        // Value-initialised: every word starts at zero, like the old
-        // vector-backed pages.
-        Word *fresh = new Word[wordsPerPage]();
-        Word *expected = nullptr;
-        if ((*leaf)[lo].compare_exchange_strong(expected, fresh,
-                                                std::memory_order_acq_rel))
-            page = fresh;
-        else {
-            delete[] fresh;
-            page = expected;
-        }
-    }
-    return page;
+    std::unique_ptr<Leaf> &leaf = root[hi];
+    if (!leaf)
+        leaf = std::make_unique<Leaf>();
+    std::unique_ptr<Word[]> &page = (*leaf)[lo];
+    if (!page)
+        page = std::make_unique<Word[]>(wordsPerPage); // zero-filled
+    return page.get();
 }
 
 const BackingStore::Word *
@@ -73,10 +41,9 @@ BackingStore::pageForConst(Addr addr) const
     const std::uint64_t page_no = addr / pageBytes;
     std::uint64_t hi, lo;
     splitPage(page_no, hi, lo, dirBits, dirFanout);
-    const Leaf *leaf = root[hi].load(std::memory_order_acquire);
-    if (!leaf)
+    if (!root[hi])
         return nullptr;
-    return (*leaf)[lo].load(std::memory_order_acquire);
+    return (*root[hi])[lo].get();
 }
 
 std::uint32_t
@@ -87,8 +54,7 @@ BackingStore::read(Addr addr) const
     const Word *page = pageForConst(addr);
     if (!page)
         return 0;
-    return page[(addr % pageBytes) / wordBytes].load(
-        std::memory_order_relaxed);
+    return page[(addr % pageBytes) / wordBytes];
 }
 
 void
@@ -96,8 +62,7 @@ BackingStore::write(Addr addr, std::uint32_t value)
 {
     if (addr % wordBytes != 0)
         panic("unaligned write at %#lx", static_cast<unsigned long>(addr));
-    pageFor(addr)[(addr % pageBytes) / wordBytes].store(
-        value, std::memory_order_relaxed);
+    pageFor(addr)[(addr % pageBytes) / wordBytes] = value;
 }
 
 std::uint32_t
@@ -106,10 +71,10 @@ BackingStore::atomicCas(Addr addr, std::uint32_t compare, std::uint32_t swap)
     if (addr % wordBytes != 0)
         panic("unaligned cas at %#lx", static_cast<unsigned long>(addr));
     Word &word = pageFor(addr)[(addr % pageBytes) / wordBytes];
-    std::uint32_t expected = compare;
-    word.compare_exchange_strong(expected, swap,
-                                 std::memory_order_relaxed);
-    return expected;
+    const std::uint32_t old = word;
+    if (old == compare)
+        word = swap;
+    return old;
 }
 
 std::uint32_t
@@ -117,8 +82,10 @@ BackingStore::atomicExch(Addr addr, std::uint32_t value)
 {
     if (addr % wordBytes != 0)
         panic("unaligned exch at %#lx", static_cast<unsigned long>(addr));
-    return pageFor(addr)[(addr % pageBytes) / wordBytes].exchange(
-        value, std::memory_order_relaxed);
+    Word &word = pageFor(addr)[(addr % pageBytes) / wordBytes];
+    const std::uint32_t old = word;
+    word = value;
+    return old;
 }
 
 std::uint32_t
@@ -126,8 +93,10 @@ BackingStore::atomicAdd(Addr addr, std::uint32_t value)
 {
     if (addr % wordBytes != 0)
         panic("unaligned add at %#lx", static_cast<unsigned long>(addr));
-    return pageFor(addr)[(addr % pageBytes) / wordBytes].fetch_add(
-        value, std::memory_order_relaxed);
+    Word &word = pageFor(addr)[(addr % pageBytes) / wordBytes];
+    const std::uint32_t old = word;
+    word = old + value;
+    return old;
 }
 
 Addr

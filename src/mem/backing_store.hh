@@ -3,32 +3,19 @@
  * Functional model of the simulated global address space.
  *
  * Timing is modelled elsewhere (CacheModel / DramModel); this class only
- * holds data. Storage is paged so sparse address spaces stay cheap. All
- * workloads operate on 32-bit words, which is also the granularity of
- * value-based validation in WarpTM.
- *
- * Concurrency contract (docs/PARALLELISM.md): the parallel cycle loop
- * lets every SIMT core touch the store from its worker thread, so
- *  - words are relaxed atomics (a plain load/store on x86 — the serial
- *    loops compile to the same code and produce the same values);
- *  - the page directory is a two-level radix of atomic pointers with
- *    CAS insertion, so a first-touch allocation on one worker can never
- *    invalidate a concurrent lookup on another (an unordered_map rehash
- *    would).
- * Two lanes racing on the *same word* in the same cycle is a data race
- * in the simulated program; the store keeps the simulator well-defined
- * (word-level atomicity) but such programs are outside the
- * byte-determinism contract.
+ * holds data. Storage is paged so sparse address spaces stay cheap: a
+ * two-level radix directory maps page numbers to zero-initialised
+ * 64 KiB pages allocated on first touch. All workloads operate on
+ * 32-bit words, which is also the granularity of value-based
+ * validation in WarpTM.
  */
 
 #ifndef GETM_MEM_BACKING_STORE_HH
 #define GETM_MEM_BACKING_STORE_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -41,7 +28,6 @@ class BackingStore
     static constexpr unsigned wordBytes = 4;
 
     BackingStore() = default;
-    ~BackingStore();
     BackingStore(const BackingStore &) = delete;
     BackingStore &operator=(const BackingStore &) = delete;
 
@@ -83,16 +69,13 @@ class BackingStore
     ckpt(Ar &ar)
     {
         ar(allocTop);
-        std::vector<std::uint32_t> buf(wordsPerPage);
         if constexpr (Ar::saving) {
             std::uint64_t npages = 0;
             forEachPage([&](std::uint64_t, Word *) { ++npages; });
             ar.raw(&npages, sizeof(npages));
             forEachPage([&](std::uint64_t index, Word *words) {
                 ar.raw(&index, sizeof(index));
-                for (std::uint64_t w = 0; w < wordsPerPage; ++w)
-                    buf[w] = words[w].load(std::memory_order_relaxed);
-                ar.raw(buf.data(), pageBytes);
+                ar.raw(words, pageBytes);
             });
         } else {
             std::uint64_t npages = 0;
@@ -100,10 +83,7 @@ class BackingStore
             for (std::uint64_t p = 0; p < npages; ++p) {
                 std::uint64_t index = 0;
                 ar.raw(&index, sizeof(index));
-                Word *words = pageFor(index * pageBytes);
-                ar.raw(buf.data(), pageBytes);
-                for (std::uint64_t w = 0; w < wordsPerPage; ++w)
-                    words[w].store(buf[w], std::memory_order_relaxed);
+                ar.raw(pageFor(index * pageBytes), pageBytes);
             }
         }
     }
@@ -115,14 +95,11 @@ class BackingStore
     forEachPage(Fn &&fn)
     {
         for (std::uint64_t i = 0; i < dirFanout; ++i) {
-            Leaf *leaf = root[i].load(std::memory_order_relaxed);
-            if (!leaf)
+            if (!root[i])
                 continue;
-            for (std::uint64_t j = 0; j < dirFanout; ++j) {
-                Word *words = (*leaf)[j].load(std::memory_order_relaxed);
-                if (words)
+            for (std::uint64_t j = 0; j < dirFanout; ++j)
+                if (Word *words = (*root[i])[j].get())
                     fn((i << dirBits) | j, words);
-            }
         }
     }
 
@@ -132,9 +109,9 @@ class BackingStore
     static constexpr unsigned dirBits = 11;
     static constexpr std::uint64_t dirFanout = 1ull << dirBits;
 
-    using Word = std::atomic<std::uint32_t>;
-    /** One leaf directory: pointers to zero-initialised word arrays. */
-    using Leaf = std::array<std::atomic<Word *>, dirFanout>;
+    using Word = std::uint32_t;
+    /** One leaf directory: zero-initialised word arrays. */
+    using Leaf = std::array<std::unique_ptr<Word[]>, dirFanout>;
 
     /** Find the page words for @p addr, allocating on first touch. */
     Word *pageFor(Addr addr);
@@ -145,8 +122,8 @@ class BackingStore
     static constexpr Addr baseAddr = pageBytes;
     Addr allocTop = baseAddr;
 
-    /** Root directory; leaves and pages are CAS-inserted on demand. */
-    std::array<std::atomic<Leaf *>, dirFanout> root{};
+    /** Root directory; leaves and pages are allocated on demand. */
+    std::array<std::unique_ptr<Leaf>, dirFanout> root;
 };
 
 } // namespace getm

@@ -11,19 +11,11 @@
  *
  * Timing is computed analytically at send time; delivery ordering per
  * destination is by computed arrival cycle (ties broken FIFO).
- *
- * Concurrency contract (docs/PARALLELISM.md): send() and nextArrival()
- * are serial-stage only. hasReady()/popReady() may run concurrently for
- * *distinct* destinations while no send() is in flight — each
- * destination's inbox has a single owner per phase, and the only shared
- * pop-side state (the in-flight gauge and the arrival-cache dirty flag)
- * is relaxed-atomic.
  */
 
 #ifndef GETM_NOC_CROSSBAR_HH
 #define GETM_NOC_CROSSBAR_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -120,9 +112,8 @@ class Crossbar
         if (sendHook)
             sendHook(msg, now, when);
         inbox[dst].push(Entry{when, seq++, std::move(msg)});
-        pending.fetch_add(1, std::memory_order_relaxed);
-        if (!arrivalDirty.load(std::memory_order_relaxed) &&
-            when < cachedArrival)
+        ++pending;
+        if (!arrivalDirty && when < cachedArrival)
             cachedArrival = when;
         return when;
     }
@@ -143,42 +134,33 @@ class Crossbar
     {
         Entry top = inbox[dst].top();
         inbox[dst].pop();
-        pending.fetch_sub(1, std::memory_order_relaxed);
+        --pending;
         // The popped entry may have been the cached minimum; recompute
         // lazily on the next nextArrival() call.
-        arrivalDirty.store(true, std::memory_order_relaxed);
+        arrivalDirty = true;
         return std::move(top.msg);
     }
 
-    /** Earliest pending arrival across all destinations (or ~0).
-     *  Serial-stage only (rebuilds the shared arrival cache). */
+    /** Earliest pending arrival across all destinations (or ~0). */
     Cycle
     nextArrival() const
     {
-        if (arrivalDirty.load(std::memory_order_relaxed)) {
+        if (arrivalDirty) {
             Cycle best = ~static_cast<Cycle>(0);
             for (const auto &queue : inbox)
                 if (!queue.empty() && queue.top().when < best)
                     best = queue.top().when;
             cachedArrival = best;
-            arrivalDirty.store(false, std::memory_order_relaxed);
+            arrivalDirty = false;
         }
         return cachedArrival;
     }
 
     /** True if no messages are in flight anywhere. */
-    bool
-    idle() const
-    {
-        return pending.load(std::memory_order_relaxed) == 0;
-    }
+    bool idle() const { return pending == 0; }
 
     /** Messages currently queued or in flight (telemetry gauge). */
-    std::size_t
-    inFlight() const
-    {
-        return pending.load(std::memory_order_relaxed);
-    }
+    std::size_t inFlight() const { return pending; }
 
     std::uint64_t totalFlits() const { return timing.totalFlits(); }
     StatSet &stats() { return timing.stats(); }
@@ -199,8 +181,8 @@ class Crossbar
             std::size_t n = 0;
             for (const auto &queue : inbox)
                 n += queue.size();
-            pending.store(n, std::memory_order_relaxed);
-            arrivalDirty.store(true, std::memory_order_relaxed);
+            pending = n;
+            arrivalDirty = true;
         }
     }
 
@@ -224,10 +206,10 @@ class Crossbar
     CrossbarTiming timing;
     SendHook sendHook;
     std::uint64_t seq = 0;
-    /** In-flight gauge; relaxed so concurrent per-dst pops stay clean. */
-    std::atomic<std::size_t> pending{0};
+    /** In-flight gauge: messages sent but not yet popped. */
+    std::size_t pending = 0;
     mutable Cycle cachedArrival = ~static_cast<Cycle>(0);
-    mutable std::atomic<bool> arrivalDirty{false};
+    mutable bool arrivalDirty = false;
     std::vector<std::priority_queue<Entry, std::vector<Entry>,
                                     std::greater<Entry>>>
         inbox;

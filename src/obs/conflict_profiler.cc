@@ -57,27 +57,4 @@ ConflictProfiler::topN(std::size_t n) const
     return rows;
 }
 
-void
-ConflictProfiler::mergeFrom(const ConflictProfiler &other)
-{
-    for (const auto &[addr, src] : other.table) {
-        HotAddrRow &row = rowFor(addr, src.partition);
-        row.total += src.total;
-        for (unsigned r = 0; r < numAbortReasons; ++r)
-            row.byReason[r] += src.byReason[r];
-        row.stallDepthSum += src.stallDepthSum;
-        row.stallDepthCount += src.stallDepthCount;
-    }
-    events += other.events;
-}
-
-void
-ConflictProfiler::clear()
-{
-    table.clear();
-    events = 0;
-    lastAddr = invalidAddr;
-    lastRow = nullptr;
-}
-
 } // namespace getm

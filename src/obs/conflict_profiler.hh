@@ -82,16 +82,6 @@ class ConflictProfiler
     std::uint64_t totalEvents() const { return events; }
 
     /**
-     * Fold @p other's rows into this profiler (summing per-address
-     * counts). All aggregates are commutative sums and topN() orders
-     * deterministically, so merging worker-local shards at the end of a
-     * parallel run reproduces the serial loop's report byte for byte.
-     */
-    void mergeFrom(const ConflictProfiler &other);
-
-    void clear();
-
-    /**
      * Checkpoint hook. The one-entry memo is a pure accelerator whose
      * pointer cannot survive a restore; it re-warms on the first
      * record() after load.

@@ -44,19 +44,6 @@ Observability::stallRelease(PartitionId partition, Cycle now)
         stallCurrent -= 1;
 }
 
-void
-Observability::absorbShard(ObsShard &shard)
-{
-    for (unsigned r = 0; r < numAbortReasons; ++r) {
-        abortLanes[r] += shard.abortLanes[r];
-        stalls[r] += shard.stalls[r];
-    }
-    depthSum += shard.depthSum;
-    depthCount += shard.depthCount;
-    prof.mergeFrom(shard.prof);
-    shard.clear();
-}
-
 ObsReport
 Observability::report(std::size_t maxHotAddrs) const
 {

@@ -89,14 +89,6 @@ class SimtCore
     /** Install the protocol engine (may be null for the lock baseline). */
     void setProtocol(std::unique_ptr<TmCoreProtocol> engine);
 
-    /**
-     * Replace the upward send callback. The parallel cycle loop swaps
-     * in a per-core staging callback (sends recorded on the worker,
-     * replayed serially in deterministic order) and restores the direct
-     * crossbar callback afterwards.
-     */
-    void setSendFn(SendFn send_up) { sendUp = std::move(send_up); }
-
     /** Begin executing @p kernel; warps are pulled from @p work. */
     void startKernel(const Kernel *kernel, std::uint64_t total_threads,
                      WorkFn work, Cycle now);

@@ -70,13 +70,11 @@ class TmCoreProtocol
 
     /**
      * Run protocol work the engine deferred out of the regular tick
-     * into a serial micro-phase after all cores ticked. WarpTM-EL uses
-     * this for commit points: an EL commit applies its write log to
-     * shared memory core-side, so running it mid-tick on a worker
-     * thread would race other cores' instant validations against the
-     * store. Every cycle loop — serial or parallel — invokes this in
-     * core order after the tick phase, so one-thread and N-thread runs
-     * execute commits at the identical point (docs/PARALLELISM.md).
+     * into a micro-phase after all cores ticked. WarpTM-EL uses this
+     * for commit points: an EL commit applies its write log to shared
+     * memory core-side, and deferring it orders every commit of a
+     * cycle after all of that cycle's instant validations. Both cycle
+     * loops invoke this in core order after the tick phase.
      *
      * @return true if any deferred work ran (the event loop uses this
      *         to refresh the core's wake cycle).

@@ -76,18 +76,15 @@ struct PointCkpt
 
 std::string
 simulatePoint(const SweepPoint &point, std::uint64_t trace_tx,
-              unsigned sim_threads, const PointCkpt &ckpt,
-              bool &verified, std::string &trace_doc)
+              const PointCkpt &ckpt, bool &verified,
+              std::string &trace_doc)
 {
     GpuConfig run_cfg = point.config;
     run_cfg.traceTx = trace_tx;
-    // Like traceTx: applied after enumeration and absent from
-    // provenance, so hashes and documents cannot depend on it (the
-    // parallel loop is byte-deterministic; docs/PARALLELISM.md).
-    run_cfg.simThreads = sim_threads;
-    // Same contract for the durability knobs (docs/DURABILITY.md): a
-    // checkpointed, restored, or crash-cut point hashes and reports
-    // identically to an uninterrupted one.
+    // Like traceTx, the durability knobs are applied after enumeration
+    // and absent from provenance (docs/DURABILITY.md): a checkpointed,
+    // restored, or crash-cut point hashes and reports identically to
+    // an uninterrupted one.
     run_cfg.ckptEvery = ckpt.every;
     run_cfg.ckptDir = ckpt.dir;
     if (ckpt.restore)
@@ -355,20 +352,6 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
     const unsigned jobs =
         options.jobs ? options.jobs : ThreadPool::defaultThreads();
 
-    // Budget nested parallelism: jobs x simThreads worker threads
-    // would oversubscribe the machine, so clamp the per-point thread
-    // count. Harmless to results (any simThreads value is
-    // byte-identical); purely a throughput guard.
-    unsigned sim_threads = options.simThreads ? options.simThreads : 1;
-    const unsigned hw = ThreadPool::defaultThreads();
-    if (sim_threads > 1 && jobs * sim_threads > hw) {
-        const unsigned clamped = std::max(1u, hw / jobs);
-        debugLog("sweep: clamping sim threads %u -> %u (%u jobs x %u "
-                 "threads exceeds %u hardware threads)",
-                 sim_threads, clamped, jobs, sim_threads, hw);
-        sim_threads = clamped;
-    }
-
     std::mutex mtx; // Guards outcome counters, progress, first error.
     std::string worker_error;
     unsigned done = 0;
@@ -457,9 +440,8 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
                     : reseededPoint(point, attempt);
             bool checkpoint_fault = false;
             try {
-                doc = simulatePoint(attempt_point, options.traceTx,
-                                    sim_threads, ckpt, verified,
-                                    trace_doc);
+                doc = simulatePoint(attempt_point, options.traceTx, ckpt,
+                                    verified, trace_doc);
                 failed = false;
             } catch (const SimError &e) {
                 failed = true;

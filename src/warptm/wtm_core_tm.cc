@@ -10,28 +10,6 @@
 
 namespace getm {
 
-void
-WtmShared::assignSlot(unsigned slot)
-{
-    // Serial-loop order: the global core iteration reaches cores in id
-    // order, and within one core validations start in tick order —
-    // which is exactly slot-major, core-major, push order here.
-    for (CoreStage &st : stages) {
-        for (const CoreStage::Request &req : st.slots[slot]) {
-            const std::uint64_t id = nextCommitId++;
-            if (st.assigned.size() <= req.seq)
-                st.assigned.resize(req.seq + 1, 0);
-            st.assigned[req.seq] = id;
-            // Patch the warp only if it still holds our sentinel: a
-            // same-cycle abort may have reset commitId already, and the
-            // serial loops would likewise have left it reset.
-            if (req.warp->commitId == (reservedBit | req.seq))
-                req.warp->commitId = id;
-        }
-        st.slots[slot].clear();
-    }
-}
-
 WtmCoreTm::WtmCoreTm(SimtCore &core_, std::shared_ptr<WtmShared> shared_,
                      WtmMode mode_)
     : core(core_), shared(std::move(shared_)), mode(mode_),
@@ -227,13 +205,11 @@ void
 WtmCoreTm::txCommitPoint(Warp &warp)
 {
     if (mode == WtmMode::EagerLazy) {
-        // Defer to the serial commit micro-phase: the final instant
-        // validation reads shared memory and the commit applies the
-        // write log to it, so running either mid-tick on a worker
-        // thread would race other cores. Deferring unconditionally —
-        // in the serial loops too — keeps one-thread and N-thread
-        // runs on the identical schedule. CommitWait parks the warp
-        // so the scheduler cannot re-issue it this cycle.
+        // Defer to the commit micro-phase that runs after every core
+        // ticked: the final instant validation and the write-log
+        // application then happen in core order at the end of the
+        // cycle, the schedule the golden outputs pin. CommitWait parks
+        // the warp so the scheduler cannot re-issue it this cycle.
         deferredCommits.push_back(warp.slot);
         core.changeState(warp, WarpState::CommitWait);
         return;
@@ -388,13 +364,8 @@ WtmCoreTm::startValidation(Warp &warp)
     }
 
     // Lazy-lazy: two round trips in global commit order. Every partition
-    // receives either its slice or a skip so ids stay contiguous. Under
-    // the parallel loop the id is a sentinel until the cycle barrier
-    // assigns the real one in serial core order; the staged
-    // WtmValidate/WtmSkip sends below are patched at replay
-    // (WtmShared::patchTxId), before any partition can observe them.
-    warp.commitId = shared->staging ? shared->reserve(core.id(), warp)
-                                    : shared->nextCommitId++;
+    // receives either its slice or a skip so ids stay contiguous.
+    warp.commitId = shared->nextCommitId++;
     const unsigned parts = core.addressMap().numPartitions();
     for (PartitionId part = 0; part < parts; ++part) {
         auto it = slices.find(part);

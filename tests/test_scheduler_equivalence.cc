@@ -5,7 +5,7 @@
  * GpuSystem's wake-list main loop skips components that are not due,
  * relying on the invariant that ticking an idle component is a pure
  * no-op. These tests run one workload per protocol on the test rig
- * under both loops (GpuConfig::legacyLoop toggles the pre-wake-list
+ * under both loops (GpuConfig::legacyLoop selects the reference
  * tick-everything loop) and require the *entire* observable outcome --
  * cycle count, commits, aborts, crossbar traffic, and the full merged
  * stats dump -- to be bit-identical. Any divergence means a component
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "gpu/gpu_system.hh"
@@ -128,86 +127,74 @@ expectTracerInvisible(BenchId bench, ProtocolKind protocol)
             << name << ": tx " << rec.traceId;
 }
 
-class SchedulerEquivalence : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        // The env var forces the legacy loop globally; it would make
-        // the "event" runs silently legacy and the test vacuous.
-        unsetenv("GETM_LEGACY_LOOP");
-    }
-};
-
-TEST_F(SchedulerEquivalence, FgLock)
+TEST(SchedulerEquivalence, FgLock)
 {
     expectIdentical(BenchId::HtH, ProtocolKind::FgLock);
 }
 
-TEST_F(SchedulerEquivalence, Getm)
+TEST(SchedulerEquivalence, Getm)
 {
     expectIdentical(BenchId::HtH, ProtocolKind::Getm);
 }
 
-TEST_F(SchedulerEquivalence, GetmLowContention)
+TEST(SchedulerEquivalence, GetmLowContention)
 {
     // A sparser workload exercises long idle gaps, where the event
     // loop actually skips cycles instead of degenerating to +1 steps.
     expectIdentical(BenchId::Atm, ProtocolKind::Getm);
 }
 
-TEST_F(SchedulerEquivalence, WarpTmLL)
+TEST(SchedulerEquivalence, WarpTmLL)
 {
     expectIdentical(BenchId::Atm, ProtocolKind::WarpTmLL);
 }
 
-TEST_F(SchedulerEquivalence, WarpTmEL)
+TEST(SchedulerEquivalence, WarpTmEL)
 {
     expectIdentical(BenchId::HtH, ProtocolKind::WarpTmEL);
 }
 
-TEST_F(SchedulerEquivalence, Eapg)
+TEST(SchedulerEquivalence, Eapg)
 {
     expectIdentical(BenchId::Atm, ProtocolKind::Eapg);
 }
 
-TEST_F(SchedulerEquivalence, CheckerInvisibleGetm)
+TEST(SchedulerEquivalence, CheckerInvisibleGetm)
 {
     expectCheckerInvisible(BenchId::HtH, ProtocolKind::Getm);
 }
 
-TEST_F(SchedulerEquivalence, CheckerInvisibleWarpTmLL)
+TEST(SchedulerEquivalence, CheckerInvisibleWarpTmLL)
 {
     expectCheckerInvisible(BenchId::Atm, ProtocolKind::WarpTmLL);
 }
 
-TEST_F(SchedulerEquivalence, CheckerInvisibleWarpTmEL)
+TEST(SchedulerEquivalence, CheckerInvisibleWarpTmEL)
 {
     expectCheckerInvisible(BenchId::HtH, ProtocolKind::WarpTmEL);
 }
 
-TEST_F(SchedulerEquivalence, CheckerInvisibleEapg)
+TEST(SchedulerEquivalence, CheckerInvisibleEapg)
 {
     expectCheckerInvisible(BenchId::Atm, ProtocolKind::Eapg);
 }
 
-TEST_F(SchedulerEquivalence, TracerInvisibleGetm)
+TEST(SchedulerEquivalence, TracerInvisibleGetm)
 {
     expectTracerInvisible(BenchId::HtH, ProtocolKind::Getm);
 }
 
-TEST_F(SchedulerEquivalence, TracerInvisibleWarpTmLL)
+TEST(SchedulerEquivalence, TracerInvisibleWarpTmLL)
 {
     expectTracerInvisible(BenchId::Atm, ProtocolKind::WarpTmLL);
 }
 
-TEST_F(SchedulerEquivalence, TracerInvisibleWarpTmEL)
+TEST(SchedulerEquivalence, TracerInvisibleWarpTmEL)
 {
     expectTracerInvisible(BenchId::HtH, ProtocolKind::WarpTmEL);
 }
 
-TEST_F(SchedulerEquivalence, TracerInvisibleEapg)
+TEST(SchedulerEquivalence, TracerInvisibleEapg)
 {
     expectTracerInvisible(BenchId::Atm, ProtocolKind::Eapg);
 }

@@ -22,12 +22,12 @@ Two checks over README.md, EXPERIMENTS.md, DESIGN.md and docs/*.md:
 
 Additionally, `--require PATH` (repeatable) names repo-relative
 documents that must exist — the contract docs a deleted or renamed
-file would silently orphan (e.g. docs/PARALLELISM.md, whose absence
-would leave the --sim-threads machinery undocumented).
+file would silently orphan (e.g. docs/DURABILITY.md, whose absence
+would leave the checkpoint format undocumented).
 
 Usage:
     check_docs.py --root REPO [--binary getm-sim=/path/to/getm-sim ...]
-                  [--require docs/PARALLELISM.md ...]
+                  [--require docs/DURABILITY.md ...]
 
 Exits non-zero listing every violation (the docs_check ctest).
 """
@@ -142,7 +142,7 @@ def main():
     parser.add_argument("--require", action="append", default=[],
                         metavar="PATH",
                         help="repo-relative document that must exist, "
-                             "e.g. docs/PARALLELISM.md")
+                             "e.g. docs/DURABILITY.md")
     args = parser.parse_args()
 
     binaries = {}

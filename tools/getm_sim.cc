@@ -78,15 +78,6 @@ usage(const char *argv0)
         "                      force-store-grant | commit-stale-read |\n"
         "                      skip-validation | corrupt-commit |\n"
         "                      drop-commit-write | leak-lock\n"
-        "  --sim-threads N     worker threads for the per-cycle loop\n"
-        "                      (default 1). Results are byte-identical\n"
-        "                      at any thread count and protocol; see\n"
-        "                      docs/PARALLELISM.md for the contract and\n"
-        "                      how to budget against sweep --jobs\n"
-        "  --sim-epoch N       max cycles per parallel-loop sync epoch\n"
-        "                      (default 1 = barrier every cycle; capped\n"
-        "                      at crossbar latency + 1, still\n"
-        "                      byte-identical)\n"
         "  --max-cycles N      per-run simulation safety bound\n"
         "                      (default 2000000000)\n"
         "  --watchdog-cycles N declare livelock after N visited cycles\n"
@@ -96,7 +87,7 @@ usage(const char *argv0)
         "                      clock (default 0 = unlimited)\n"
         "  --checkpoint-every N  write a crash-safe machine snapshot\n"
         "                      every N simulated cycles (at the first\n"
-        "                      epoch boundary at or past each multiple\n"
+        "                      visited cycle at or past each multiple\n"
         "                      of N); restores are byte-identical\n"
         "  --checkpoint-dir D  snapshot directory (default .)\n"
         "  --restore PATH      resume from a snapshot file, or from the\n"
@@ -260,20 +251,6 @@ main(int argc, char **argv)
             }
             cfg.injectFault = static_cast<unsigned>(kind);
             cfg.injectProb = prob;
-        } else if (arg == "--sim-threads") {
-            cfg.simThreads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-            if (cfg.simThreads == 0) {
-                std::fprintf(stderr, "--sim-threads must be >= 1\n");
-                return 2;
-            }
-        } else if (arg == "--sim-epoch") {
-            cfg.simEpoch = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-            if (cfg.simEpoch == 0) {
-                std::fprintf(stderr, "--sim-epoch must be >= 1\n");
-                return 2;
-            }
         } else if (arg == "--max-cycles") {
             max_cycles = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--watchdog-cycles") {

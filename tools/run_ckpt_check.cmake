@@ -1,7 +1,6 @@
 # Checkpoint/restore determinism check driven by ctest: for every
-# protocol (GETM, WarpTM-LL, WarpTM-EL, EAPG), at --sim-threads 1 and
-# 4, with and without fault injection, run the same benchmark three
-# ways:
+# protocol (GETM, WarpTM-LL, WarpTM-EL, EAPG), with and without fault
+# injection, run the same benchmark three ways:
 #
 #   base     uninterrupted, fully instrumented (--json stdout, metrics
 #            document, timeline);
@@ -30,118 +29,80 @@ set(kill_at 1500)
 set(every 400)
 
 foreach(protocol getm warptm warptm-el eapg)
-    foreach(threads 1 4)
-        foreach(variant plain inject)
-            set(fixture "${protocol}_t${threads}_${variant}")
-            set(extra_args "")
-            if(variant STREQUAL "inject")
-                set(extra_args --inject=skip-validation@0.02)
+    foreach(variant plain inject)
+        set(fixture "${protocol}_${variant}")
+        set(extra_args "")
+        if(variant STREQUAL "inject")
+            set(extra_args --inject=skip-validation@0.02)
+        endif()
+        set(common_args --bench HT-H --protocol ${protocol}
+            --scale 0.05 --json --metrics m.json --timeline t.json
+            ${extra_args})
+
+        foreach(run base killed restored)
+            set(run_dir "${work_dir}/${fixture}/${run}")
+            file(MAKE_DIRECTORY "${run_dir}")
+            set(run_args "${SIM_BIN}" ${common_args})
+            if(run STREQUAL "killed")
+                list(APPEND run_args
+                     --checkpoint-every ${every}
+                     --checkpoint-dir ckpt
+                     --ckpt-kill-at ${kill_at})
+            elseif(run STREQUAL "restored")
+                list(APPEND run_args
+                     --restore "${work_dir}/${fixture}/killed/ckpt")
             endif()
-            set(common_args --bench HT-H --protocol ${protocol}
-                --scale 0.05 --sim-threads ${threads} --json
-                --metrics m.json --timeline t.json ${extra_args})
-
-            foreach(run base killed restored)
-                set(run_dir "${work_dir}/${fixture}/${run}")
-                file(MAKE_DIRECTORY "${run_dir}")
-                set(run_args "${SIM_BIN}" ${common_args})
-                if(run STREQUAL "killed")
-                    list(APPEND run_args
-                         --checkpoint-every ${every}
-                         --checkpoint-dir ckpt
-                         --ckpt-kill-at ${kill_at})
-                elseif(run STREQUAL "restored")
-                    list(APPEND run_args
-                         --restore "${work_dir}/${fixture}/killed/ckpt")
-                endif()
-                execute_process(
-                    COMMAND ${run_args}
-                    WORKING_DIRECTORY "${run_dir}"
-                    RESULT_VARIABLE sim_status
-                    OUTPUT_FILE "${run_dir}/stdout.json"
-                    ERROR_VARIABLE sim_stderr)
-                if(run STREQUAL "killed")
-                    if(NOT sim_status EQUAL 137)
-                        message(FATAL_ERROR
-                                "${fixture}: --ckpt-kill-at should "
-                                "exit 137, got ${sim_status}:\n"
-                                "${sim_stderr}")
-                    endif()
-                else()
-                    if(NOT sim_status EQUAL 0)
-                        message(FATAL_ERROR
-                                "${fixture} (${run}) failed "
-                                "(${sim_status}):\n${sim_stderr}")
-                    endif()
-                endif()
-                if(run STREQUAL "restored")
-                    if(NOT sim_stderr MATCHES
-                       "restored checkpoint .* \\(cycle ([0-9]+)\\)")
-                        message(FATAL_ERROR
-                                "${fixture}: restore did not report "
-                                "its resume cycle:\n${sim_stderr}")
-                    endif()
-                    if(CMAKE_MATCH_1 EQUAL 0)
-                        message(FATAL_ERROR
-                                "${fixture}: restore resumed at cycle "
-                                "0 -- no mid-kernel state was loaded")
-                    endif()
-                endif()
-            endforeach()
-
-            foreach(artifact "stdout.json" "m.json" "t.json")
-                execute_process(
-                    COMMAND ${CMAKE_COMMAND} -E compare_files
-                            "${work_dir}/${fixture}/base/${artifact}"
-                            "${work_dir}/${fixture}/restored/${artifact}"
-                    RESULT_VARIABLE same)
-                if(NOT same EQUAL 0)
+            execute_process(
+                COMMAND ${run_args}
+                WORKING_DIRECTORY "${run_dir}"
+                RESULT_VARIABLE sim_status
+                OUTPUT_FILE "${run_dir}/stdout.json"
+                ERROR_VARIABLE sim_stderr)
+            if(run STREQUAL "killed")
+                if(NOT sim_status EQUAL 137)
                     message(FATAL_ERROR
-                            "${fixture}: ${artifact} differs between "
-                            "the uninterrupted and the kill+restore "
-                            "run: the snapshot missed machine state "
-                            "(docs/DURABILITY.md)")
+                            "${fixture}: --ckpt-kill-at should "
+                            "exit 137, got ${sim_status}:\n"
+                            "${sim_stderr}")
                 endif()
-            endforeach()
-            message(STATUS
-                    "${fixture}: kill at ${kill_at} + restore is "
-                    "byte-identical")
+            else()
+                if(NOT sim_status EQUAL 0)
+                    message(FATAL_ERROR
+                            "${fixture} (${run}) failed "
+                            "(${sim_status}):\n${sim_stderr}")
+                endif()
+            endif()
+            if(run STREQUAL "restored")
+                if(NOT sim_stderr MATCHES
+                   "restored checkpoint .* \\(cycle ([0-9]+)\\)")
+                    message(FATAL_ERROR
+                            "${fixture}: restore did not report "
+                            "its resume cycle:\n${sim_stderr}")
+                endif()
+                if(CMAKE_MATCH_1 EQUAL 0)
+                    message(FATAL_ERROR
+                            "${fixture}: restore resumed at cycle "
+                            "0 -- no mid-kernel state was loaded")
+                endif()
+            endif()
         endforeach()
+
+        foreach(artifact "stdout.json" "m.json" "t.json")
+            execute_process(
+                COMMAND ${CMAKE_COMMAND} -E compare_files
+                        "${work_dir}/${fixture}/base/${artifact}"
+                        "${work_dir}/${fixture}/restored/${artifact}"
+                RESULT_VARIABLE same)
+            if(NOT same EQUAL 0)
+                message(FATAL_ERROR
+                        "${fixture}: ${artifact} differs between "
+                        "the uninterrupted and the kill+restore "
+                        "run: the snapshot missed machine state "
+                        "(docs/DURABILITY.md)")
+            endif()
+        endforeach()
+        message(STATUS
+                "${fixture}: kill at ${kill_at} + restore is "
+                "byte-identical")
     endforeach()
 endforeach()
-
-# Cross-thread restore: snapshots carry no sim-thread count (threads
-# are not provenance -- docs/PARALLELISM.md), so a checkpoint written
-# at --sim-threads 4 must restore into a --sim-threads 1 run and still
-# reproduce the single-threaded base bytes. Reuses getm_t4_plain's
-# killed snapshot and getm_t1_plain's base artifacts.
-set(cross_dir "${work_dir}/cross_thread")
-file(MAKE_DIRECTORY "${cross_dir}")
-execute_process(
-    COMMAND "${SIM_BIN}" --bench HT-H --protocol getm --scale 0.05
-            --sim-threads 1 --json --metrics m.json --timeline t.json
-            --restore "${work_dir}/getm_t4_plain/killed/ckpt"
-    WORKING_DIRECTORY "${cross_dir}"
-    RESULT_VARIABLE cross_status
-    OUTPUT_FILE "${cross_dir}/stdout.json"
-    ERROR_VARIABLE cross_stderr)
-if(NOT cross_status EQUAL 0)
-    message(FATAL_ERROR
-            "cross-thread restore failed (${cross_status}):\n"
-            "${cross_stderr}")
-endif()
-foreach(artifact "stdout.json" "m.json" "t.json")
-    execute_process(
-        COMMAND ${CMAKE_COMMAND} -E compare_files
-                "${work_dir}/getm_t1_plain/base/${artifact}"
-                "${cross_dir}/${artifact}"
-        RESULT_VARIABLE same)
-    if(NOT same EQUAL 0)
-        message(FATAL_ERROR
-                "cross-thread restore: ${artifact} differs from the "
-                "--sim-threads 1 base -- a snapshot written at "
-                "--sim-threads 4 must restore thread-count-blind")
-    endif()
-endforeach()
-message(STATUS
-        "t=4 snapshot restored into a t=1 run, byte-identical")

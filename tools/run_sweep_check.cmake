@@ -4,9 +4,7 @@
 # validate the merged document with check_metrics.py. A third run with
 # --trace-tx 1 must also produce byte-identical sweep.json (tracing is
 # observe-only and the trace lives in side files) plus one
-# points/<id>.trace.json per point. A fourth run with --sim-threads 2
-# exercises the multi-threaded cycle loop inside each point, which is
-# contractually byte-deterministic (docs/PARALLELISM.md).
+# points/<id>.trace.json per point.
 #
 # Expected variables:
 #   SWEEP_BIN - path to the getm-sweep binary
@@ -21,12 +19,9 @@
 set(serial_dir "${OUT_DIR}/sweep_check_serial")
 set(parallel_dir "${OUT_DIR}/sweep_check_parallel")
 set(traced_dir "${OUT_DIR}/sweep_check_traced")
-set(simthreads_dir "${OUT_DIR}/sweep_check_simthreads")
-file(REMOVE_RECURSE "${serial_dir}" "${parallel_dir}" "${traced_dir}"
-     "${simthreads_dir}")
+file(REMOVE_RECURSE "${serial_dir}" "${parallel_dir}" "${traced_dir}")
 
-foreach(run "serial;1" "parallel;4" "traced;2;--trace-tx;1"
-        "simthreads;1;--sim-threads;2")
+foreach(run "serial;1" "parallel;4" "traced;2;--trace-tx;1")
     list(GET run 0 label)
     list(GET run 1 jobs)
     set(extra_args "${run}")
@@ -77,18 +72,6 @@ endif()
 message(STATUS
         "traced sweep.json is byte-identical; ${num_traces} trace side "
         "file(s) written")
-
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            "${serial_dir}/sweep.json" "${simthreads_dir}/sweep.json"
-    RESULT_VARIABLE same_simthreads)
-if(NOT same_simthreads EQUAL 0)
-    message(FATAL_ERROR
-            "merged sweep.json differs with --sim-threads 2: the "
-            "multi-threaded cycle loop broke byte-determinism (see "
-            "docs/PARALLELISM.md for the ordering contract)")
-endif()
-message(STATUS "--sim-threads 2 sweep.json is byte-identical")
 
 if(DEFINED GOLDEN AND NOT GOLDEN STREQUAL "")
     execute_process(
