@@ -70,7 +70,10 @@ class Writer
     void
     raw(const void *data, std::size_t size)
     {
-        buffer.append(static_cast<const char *>(data), size);
+        // An empty vector's data() may be null: skip it, as
+        // Reader::raw does.
+        if (size)
+            buffer.append(static_cast<const char *>(data), size);
     }
 
     template <class... Ts>
@@ -105,6 +108,8 @@ class Reader
             throw SimError(SimErrorKind::Checkpoint,
                            "checkpoint payload truncated (needed " +
                                std::to_string(size) + " more bytes)");
+        if (size == 0)
+            return; // memcpy with a null pointer is UB even for 0 bytes
         std::memcpy(data, cursor, size);
         cursor += size;
     }

@@ -191,6 +191,9 @@ validateGpuConfig(const GpuConfig &cfg, std::string &error)
         return reject("partitions must be nonzero");
     if (cfg.core.maxWarps == 0)
         return reject("warps_per_core must be nonzero");
+    if (cfg.core.maxWarps > maxWarpSlots)
+        return reject("warps_per_core must be at most " +
+                      std::to_string(maxWarpSlots));
     if (cfg.core.issueWidth == 0)
         return reject("issue_width must be nonzero");
     if (cfg.lineBytes == 0)

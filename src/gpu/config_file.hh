@@ -11,7 +11,7 @@
  *     # Table II baseline, GETM at 64 B granularity
  *     cores = 15
  *     partitions = 6
- *     warps_per_core = 48
+ *     warps_per_core = 48           # 1..64 (one bit per slot)
  *     tx_warp_limit = 8
  *     llc_kb_per_partition = 128
  *     llc_latency = 330
@@ -49,11 +49,13 @@ bool loadConfigFile(const std::string &path, GpuConfig &cfg,
 
 /**
  * Sanity-check @p cfg for values that would misbehave downstream
- * (zero core/partition/warp counts, zero line/granule sizes, a
- * degenerate Backoff::Config). Called at the end of applyConfigText()
- * so bad files are rejected at load time, and by the GpuSystem
- * constructor (which turns a failure into SimError CONFIG) so
- * programmatic configs get the same screening.
+ * (zero core/partition/warp counts, more than 64 warps per core, zero
+ * line/granule sizes, a degenerate Backoff::Config). The warp cap is
+ * maxWarpSlots: the SIMT scheduler keeps one 64-bit slot mask per warp
+ * state. Called at the end of applyConfigText() so bad files are
+ * rejected at load time, and by the GpuSystem constructor (which turns
+ * a failure into SimError CONFIG) so programmatic configs get the same
+ * screening.
  *
  * @return false with @p error describing the first offending value.
  */

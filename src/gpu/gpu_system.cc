@@ -94,8 +94,13 @@ GpuSystem::GpuSystem(const GpuConfig &config)
     : cfg(validatedConfig(config)),
       addrMap(cfg.numPartitions, cfg.lineBytes),
       xbarUp("xbar.up", cfg.numCores, cfg.numPartitions, cfg.xbar),
-      xbarDown("xbar.down", cfg.numPartitions, cfg.numCores, cfg.xbar)
+      xbarDown("xbar.down", cfg.numPartitions, cfg.numCores, cfg.xbar),
+      partWake(cfg.numPartitions, 0), coreWake(cfg.numCores, 0)
 {
+    // Sends wake their destination: the event loop never polls inboxes.
+    xbarUp.wakeInto(partWake.data());
+    xbarDown.wakeInto(coreWake.data());
+
     CoreConfig core_cfg = cfg.core;
     core_cfg.lineBytes = cfg.lineBytes;
     core_cfg.txGranule = cfg.getmGranule;
@@ -598,28 +603,49 @@ GpuSystem::runLegacyLoop(const Kernel &kernel, Cycle max_cycles)
 }
 
 Cycle
+GpuSystem::coreWakeAfter(CoreId c, Cycle now) const
+{
+    return std::min(coreArray[c]->nextEventCycle(now + 1),
+                    xbarDown.headArrival(c));
+}
+
+Cycle
 GpuSystem::runEventLoop(const Kernel &kernel, Cycle max_cycles)
 {
     // The legacy loop ticks every component on every visited cycle, but
-    // a tick on a component whose nextEventCycle() lies in the future is
-    // a no-op: component state only changes inside tick()/deliver() (or
-    // under maybeRollover(), handled below). The wake caches therefore
-    // stay valid between ticks, and skipping not-due components is
-    // timing-equivalent to the legacy loop. Message arrivals are the one
-    // external wake source; they are caught by the hasReady() due-checks
-    // and the raw crossbar nextArrival() terms in the global next.
+    // a tick on a component whose wake lies in the future is a no-op:
+    // component state only changes inside tick()/deliver() (or under
+    // maybeRollover(), handled below). So this loop keeps one exact wake
+    // cycle per component and ticks only the due ones. Nothing is
+    // scanned for: a component's own events enter its wake when it
+    // ticks (partitions count their inbox head, cores add theirs), and
+    // a message sent later lowers its destination's wake from inside
+    // Crossbar::send (wired in the constructor). Invariant: a wake is
+    // never later than the arrival of the destination's oldest queued
+    // message.
+    //
+    // Each visited cycle runs three passes in a fixed order: due
+    // partitions in id order, then deliveries to every due core, then
+    // ticks of every due core, both in core order. Deliveries and ticks
+    // stay separate passes: a delivery can trigger sends on the shared
+    // up-crossbar ports, and interleaving it with earlier cores' ticks
+    // would reorder those sends and change the timing.
     const Cycle never = ~static_cast<Cycle>(0);
     const unsigned ncores = static_cast<unsigned>(coreArray.size());
     const unsigned nparts = static_cast<unsigned>(partArray.size());
 
     // Cycle 0 behaves like the legacy loop's first iteration: everything
-    // is due once, then earns its cached wake. After a restore, the
-    // first visited cycle plays the same role: forcing every component
-    // due is harmless (ticking a not-due component is a no-op, the
-    // equivalence this loop is built on), and each then earns its
-    // cached wake from restored state.
-    std::vector<Cycle> coreWake(ncores, resumeCycle);
-    std::vector<Cycle> partWake(nparts, resumeCycle);
+    // is due once, then earns its wake. After a restore, the first
+    // visited cycle plays the same role (the wakes are not
+    // checkpointed): forcing every component due is harmless, and each
+    // then earns its wake from restored state.
+    std::fill(partWake.begin(), partWake.end(), resumeCycle);
+    std::fill(coreWake.begin(), coreWake.end(), resumeCycle);
+    // Finished cores, for the termination test: a core only finishes
+    // inside its own tick, and never un-finishes.
+    unsigned doneCores = 0;
+    for (const auto &core : coreArray)
+        doneCores += core->done();
 
     Cycle now = resumeCycle;
     const bool getm_rollover =
@@ -628,32 +654,31 @@ GpuSystem::runEventLoop(const Kernel &kernel, Cycle max_cycles)
     const bool el_micro = cfg.protocol == ProtocolKind::WarpTmEL;
     guard.wallStart = std::chrono::steady_clock::now();
 
-    while (!allDone() || !drained(now)) {
+    while (doneCores < ncores || !drained(now)) {
         checkGuards(kernel, now, max_cycles, guard);
         checkpointTop(kernel, now);
 
         for (PartitionId p = 0; p < nparts; ++p) {
-            if (partWake[p] <= now || xbarUp.hasReady(p, now)) {
+            if (partWake[p] <= now) {
                 partArray[p]->tick(now);
                 partWake[p] = partArray[p]->nextEventCycle(now);
             }
         }
         for (CoreId c = 0; c < ncores; ++c) {
-            if (!xbarDown.hasReady(c, now))
+            if (coreWake[c] > now)
                 continue;
             SimtCore &core = *coreArray[c];
-            do
+            while (xbarDown.hasReady(c, now))
                 core.deliver(xbarDown.popReady(c), now);
-            while (xbarDown.hasReady(c, now));
-            // A delivery can unblock same-cycle work; force the tick.
-            if (coreWake[c] > now)
-                coreWake[c] = now;
         }
         for (CoreId c = 0; c < ncores; ++c) {
-            if (coreWake[c] <= now) {
-                coreArray[c]->tick(now);
-                coreWake[c] = coreArray[c]->nextEventCycle(now + 1);
-            }
+            if (coreWake[c] > now)
+                continue;
+            SimtCore &core = *coreArray[c];
+            const bool was_done = core.done();
+            core.tick(now);
+            doneCores += !was_done && core.done();
+            coreWake[c] = coreWakeAfter(c, now);
         }
 
         // EL commit micro-phase (see runLegacyLoop): refresh the wake of
@@ -661,7 +686,7 @@ GpuSystem::runEventLoop(const Kernel &kernel, Cycle max_cycles)
         if (el_micro) {
             for (CoreId c = 0; c < ncores; ++c)
                 if (coreArray[c]->runDeferredProtocolWork(now))
-                    coreWake[c] = coreArray[c]->nextEventCycle(now + 1);
+                    coreWake[c] = coreWakeAfter(c, now);
         }
 
         observability.cycleSampler().maybeSample(now);
@@ -674,19 +699,15 @@ GpuSystem::runEventLoop(const Kernel &kernel, Cycle max_cycles)
                 // forced aborts) and partitions (flush, pipeline stall)
                 // from outside their tick(); recompute every wake.
                 for (CoreId c = 0; c < ncores; ++c)
-                    coreWake[c] = coreArray[c]->nextEventCycle(now + 1);
+                    coreWake[c] = coreWakeAfter(c, now);
                 for (PartitionId p = 0; p < nparts; ++p)
                     partWake[p] = partArray[p]->nextEventCycle(now);
             }
         }
 
-        Cycle next = never;
-        for (Cycle wake : coreWake)
-            next = std::min(next, wake);
-        for (Cycle wake : partWake)
-            next = std::min(next, wake);
-        next = std::min(next, xbarUp.nextArrival());
-        next = std::min(next, xbarDown.nextArrival());
+        Cycle next = std::min(
+            *std::min_element(coreWake.begin(), coreWake.end()),
+            *std::min_element(partWake.begin(), partWake.end()));
         if (next != never)
             next = std::max(next, now + 1);
         // Wake at sample boundaries too, so idle-cycle skipping cannot
@@ -698,7 +719,7 @@ GpuSystem::runEventLoop(const Kernel &kernel, Cycle max_cycles)
                 std::min(next,
                          observability.cycleSampler().nextSampleCycle()));
         if (next == never) {
-            if (allDone() && drained(now))
+            if (doneCores == ncores && drained(now))
                 break;
             if (rolloverPending) {
                 now = now + 1; // draining towards quiescence

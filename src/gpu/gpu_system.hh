@@ -132,11 +132,15 @@ class GpuSystem
     bool drained(Cycle now) const;
 
     /**
-     * Event-driven main loop: per-component wake cycles are cached when
-     * a component ticks, so idle components are neither ticked nor
-     * rescanned. Returns the final cycle count.
+     * Event-driven main loop: every component keeps an exact wake cycle
+     * (its own next event, lowered by crossbar sends addressed to it),
+     * and only due components are ticked. Returns the final cycle count.
      */
     Cycle runEventLoop(const Kernel &kernel, Cycle max_cycles);
+
+    /** Core @p c's wake after it ran at @p now: its own next event or
+     *  its oldest queued down-crossbar message, whichever is first. */
+    Cycle coreWakeAfter(CoreId c, Cycle now) const;
 
     /** Reference loop that ticks every component each visited cycle
      *  (GpuConfig::legacyLoop): the oracle the event loop is checked
@@ -214,6 +218,15 @@ class GpuSystem
     AddressMap addrMap;
     Crossbar<MemMsg> xbarUp;
     Crossbar<MemMsg> xbarDown;
+    /**
+     * Event-loop wake cycle of each partition and core. Wired into the
+     * up and down crossbars, whose sends lower the destination's entry
+     * to the arrival cycle, through pointers into these vectors (sized
+     * once in the constructor, never resized). Not checkpointed:
+     * runEventLoop() resets them on its first visited cycle.
+     */
+    std::vector<Cycle> partWake;
+    std::vector<Cycle> coreWake;
     std::vector<std::unique_ptr<SimtCore>> coreArray;
     std::vector<std::unique_ptr<MemPartition>> partArray;
     std::shared_ptr<WtmShared> wtmShared;

@@ -184,8 +184,11 @@ MemPartition::nextEventCycle(Cycle now) const
     Cycle best = ~static_cast<Cycle>(0);
     if (!outQueue.empty())
         best = std::min(best, outQueue.top().when);
-    if (xbarUp.hasReady(id, now))
-        best = std::min(best, std::max(popFree, now + 1));
+    // The next pop: once the head request has arrived and the unit is
+    // free, never earlier than the next cycle.
+    const Cycle head = xbarUp.headArrival(id);
+    if (head != ~static_cast<Cycle>(0))
+        best = std::min(best, std::max({popFree, head, now + 1}));
     if (proto)
         best = std::min(best, proto->nextEventCycle());
     return best;

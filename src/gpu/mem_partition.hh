@@ -43,7 +43,11 @@ class MemPartition : public PartitionContext
     /** Emit due responses and process at most one inbound message. */
     void tick(Cycle now);
 
-    /** Earliest future cycle at which this partition has work. */
+    /**
+     * Earliest future cycle at which this partition has work: a due
+     * response, or the pop of its inbox head (exact, so the cycle loop
+     * needs no arrival check of its own).
+     */
     Cycle nextEventCycle(Cycle now) const;
 
     /** No queued output and not mid-operation. */

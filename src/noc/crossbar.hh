@@ -16,6 +16,7 @@
 #ifndef GETM_NOC_CROSSBAR_HH
 #define GETM_NOC_CROSSBAR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -81,8 +82,10 @@ class CrossbarTiming
  * A crossbar carrying messages of payload type @p MsgT.
  *
  * Messages are enqueued with send() and drained per destination with
- * popReady(); nextArrival() supports idle-cycle skipping in the top-level
- * simulation loop.
+ * popReady(). A cycle loop that skips idle cycles learns of arrivals
+ * without scanning: wakeInto() hands the crossbar one wake entry per
+ * destination, and every send lowers its destination's entry to the
+ * arrival cycle.
  */
 template <typename MsgT>
 class Crossbar
@@ -113,13 +116,20 @@ class Crossbar
             sendHook(msg, now, when);
         inbox[dst].push(Entry{when, seq++, std::move(msg)});
         ++pending;
-        if (!arrivalDirty && when < cachedArrival)
-            cachedArrival = when;
+        if (wake && when < wake[dst])
+            wake[dst] = when;
         return when;
     }
 
     /** Install (or clear, with nullptr) the passive send observer. */
     void setSendHook(SendHook hook) { sendHook = std::move(hook); }
+
+    /**
+     * Push arrivals into @p wake_list (one entry per destination, owned
+     * by the caller and outliving the crossbar): each send lowers
+     * wake_list[dst] to the message's arrival cycle. Null disables it.
+     */
+    void wakeInto(Cycle *wake_list) { wake = wake_list; }
 
     /** True if a message for @p dst has arrived by @p now. */
     bool
@@ -135,25 +145,26 @@ class Crossbar
         Entry top = inbox[dst].top();
         inbox[dst].pop();
         --pending;
-        // The popped entry may have been the cached minimum; recompute
-        // lazily on the next nextArrival() call.
-        arrivalDirty = true;
         return std::move(top.msg);
     }
 
-    /** Earliest pending arrival across all destinations (or ~0). */
+    /** Arrival cycle of the oldest message queued for @p dst (or ~0). */
+    Cycle
+    headArrival(unsigned dst) const
+    {
+        return inbox[dst].empty() ? ~static_cast<Cycle>(0)
+                                  : inbox[dst].top().when;
+    }
+
+    /** Earliest pending arrival across all destinations (or ~0); a
+     *  scan over every inbox, for the legacy loop and tests. */
     Cycle
     nextArrival() const
     {
-        if (arrivalDirty) {
-            Cycle best = ~static_cast<Cycle>(0);
-            for (const auto &queue : inbox)
-                if (!queue.empty() && queue.top().when < best)
-                    best = queue.top().when;
-            cachedArrival = best;
-            arrivalDirty = false;
-        }
-        return cachedArrival;
+        Cycle best = ~static_cast<Cycle>(0);
+        for (unsigned dst = 0; dst < inbox.size(); ++dst)
+            best = std::min(best, headArrival(dst));
+        return best;
     }
 
     /** True if no messages are in flight anywhere. */
@@ -169,7 +180,7 @@ class Crossbar
      * Checkpoint hook: timing state, send sequence, and every in-flight
      * message (each inbox drains/reloads in (when, seq) pop order, a
      * total order, so heap layout is unobservable). The in-flight gauge
-     * is recomputed and the arrival cache invalidated on load.
+     * is recomputed on load; the wake list is the owner's to rebuild.
      */
     template <class Ar>
     void
@@ -182,7 +193,6 @@ class Crossbar
             for (const auto &queue : inbox)
                 n += queue.size();
             pending = n;
-            arrivalDirty = true;
         }
     }
 
@@ -208,8 +218,7 @@ class Crossbar
     std::uint64_t seq = 0;
     /** In-flight gauge: messages sent but not yet popped. */
     std::size_t pending = 0;
-    mutable Cycle cachedArrival = ~static_cast<Cycle>(0);
-    mutable bool arrivalDirty = false;
+    Cycle *wake = nullptr;
     std::vector<std::priority_queue<Entry, std::vector<Entry>,
                                     std::greater<Entry>>>
         inbox;

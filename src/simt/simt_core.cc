@@ -1,5 +1,6 @@
 #include "simt/simt_core.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "check/sink.hh"
@@ -14,6 +15,13 @@ unsigned
 popcount(LaneMask mask)
 {
     return static_cast<unsigned>(std::popcount(mask));
+}
+
+/** Lowest set bit of a nonempty slot mask. */
+unsigned
+lowestSlot(std::uint64_t slots)
+{
+    return static_cast<unsigned>(std::countr_zero(slots));
 }
 
 /** Scheduler state -> tracer phase (obs/sink.hh TxPhase). */
@@ -61,6 +69,9 @@ SimtCore::SimtCore(CoreId id, const CoreConfig &config, const AddressMap &map,
         stAbortsByReason[r] = &statSet.addCounter(
             std::string("tx_aborts_") +
             abortReasonName(static_cast<AbortReason>(r)));
+    if (cfg.maxWarps == 0 || cfg.maxWarps > maxWarpSlots)
+        fatal("core %u: %u warp slots (must be 1..%u)", id, cfg.maxWarps,
+              maxWarpSlots);
     warps.resize(cfg.maxWarps);
     stateOf.assign(cfg.maxWarps, WarpState::Idle);
     wakeOf.assign(cfg.maxWarps, 0);
@@ -68,6 +79,16 @@ SimtCore::SimtCore(CoreId id, const CoreConfig &config, const AddressMap &map,
         warps[slot].slot = slot;
         warps[slot].state = WarpState::Idle;
     }
+    rebuildStateMasks();
+}
+
+void
+SimtCore::rebuildStateMasks()
+{
+    slotsIn.fill(0);
+    for (unsigned slot = 0; slot < stateOf.size(); ++slot)
+        slotsIn[static_cast<unsigned>(stateOf[slot])] |=
+            std::uint64_t{1} << slot;
 }
 
 void
@@ -93,10 +114,10 @@ SimtCore::maybeLaunchWarps(Cycle now)
 {
     if (workExhausted)
         return;
-    for (auto &warp : warps) {
-        if (stateOf[warp.slot] != WarpState::Idle &&
-            stateOf[warp.slot] != WarpState::Finished)
-            continue;
+    for (std::uint64_t free = slotsInState(WarpState::Idle) |
+                              slotsInState(WarpState::Finished);
+         free; free &= free - 1) {
+        Warp &warp = warps[lowestSlot(free)];
         WarpAssignment assign{};
         if (!workSource(assign)) {
             workExhausted = true;
@@ -104,7 +125,7 @@ SimtCore::maybeLaunchWarps(Cycle now)
         }
         warp.launch(coreId * cfg.maxWarps + warp.slot, warp.slot,
                     assign.firstTid, assign.validLanes, now);
-        stateOf[warp.slot] = warp.state;
+        setSlotState(warp.slot, warp.state);
         wakeOf[warp.slot] = warp.wakeCycle;
         ++liveWarps;
         stWarpsLaunched.add();
@@ -141,7 +162,7 @@ SimtCore::changeState(Warp &warp, WarpState state)
         }
     }
     warp.state = state;
-    stateOf[warp.slot] = state;
+    setSlotState(warp.slot, state);
     warp.stateSince = currentCycle;
     if (traceSink && warp.inTx)
         traceSink->txPhase(warp.gwid, phaseOf(state), currentCycle);
@@ -150,66 +171,51 @@ SimtCore::changeState(Warp &warp, WarpState state)
 void
 SimtCore::wakeThrottled()
 {
-    const unsigned n = static_cast<unsigned>(warps.size());
-    for (unsigned slot = 0; slot < n; ++slot)
-        if (stateOf[slot] == WarpState::ThrottleWait)
-            changeState(warps[slot], WarpState::Ready);
+    for (std::uint64_t waiting = slotsInState(WarpState::ThrottleWait);
+         waiting; waiting &= waiting - 1)
+        changeState(warps[lowestSlot(waiting)], WarpState::Ready);
 }
 
 Cycle
 SimtCore::nextEventCycle(Cycle now) const
 {
+    if (!workExhausted && (slotsInState(WarpState::Idle) |
+                           slotsInState(WarpState::Finished)))
+        return now;
+    if (slotsInState(WarpState::Ready))
+        return now;
     Cycle best = ~static_cast<Cycle>(0);
-    const unsigned n = static_cast<unsigned>(warps.size());
-    if (!workExhausted) {
-        for (unsigned slot = 0; slot < n; ++slot)
-            if (stateOf[slot] == WarpState::Idle ||
-                stateOf[slot] == WarpState::Finished)
-                return now;
-    }
-    for (unsigned slot = 0; slot < n; ++slot) {
-        switch (stateOf[slot]) {
-          case WarpState::Ready:
-            return now;
-          case WarpState::BackoffWait:
-          case WarpState::PipelineWait:
-            if (wakeOf[slot] < best)
-                best = wakeOf[slot];
-            break;
-          default:
-            break;
-        }
-    }
+    for (std::uint64_t timed = slotsInState(WarpState::BackoffWait) |
+                               slotsInState(WarpState::PipelineWait);
+         timed; timed &= timed - 1)
+        best = std::min(best, wakeOf[lowestSlot(timed)]);
     return best;
 }
 
 Warp *
 SimtCore::pickWarp(Cycle now)
 {
-    const unsigned n = static_cast<unsigned>(warps.size());
-
     // Wake pipeline stalls, and expired backoffs (unless frozen for
-    // timestamp rollover).
-    for (unsigned slot = 0; slot < n; ++slot) {
-        if (wakeOf[slot] > now)
-            continue;
-        if (stateOf[slot] == WarpState::PipelineWait ||
-            (stateOf[slot] == WarpState::BackoffWait && !txFrozen))
+    // timestamp rollover), in slot order.
+    std::uint64_t timed = slotsInState(WarpState::PipelineWait);
+    if (!txFrozen)
+        timed |= slotsInState(WarpState::BackoffWait);
+    for (; timed; timed &= timed - 1) {
+        const unsigned slot = lowestSlot(timed);
+        if (wakeOf[slot] <= now)
             changeState(warps[slot], WarpState::Ready);
     }
 
     // Greedy-then-oldest: stay on the last issued warp while it is ready,
     // otherwise pick the lowest (oldest) ready slot.
-    const unsigned last = lastIssued % n;
-    if (stateOf[last] == WarpState::Ready)
+    const std::uint64_t ready = slotsInState(WarpState::Ready);
+    if (!ready)
+        return nullptr;
+    const unsigned last = lastIssued % static_cast<unsigned>(warps.size());
+    if (ready & (std::uint64_t{1} << last))
         return &warps[last];
-    for (unsigned slot = 0; slot < n; ++slot) {
-        if (stateOf[slot] == WarpState::Ready) {
-            lastIssued = slot;
-            return &warps[slot];
-        }
-    }
-    return nullptr;
+    lastIssued = lowestSlot(ready);
+    return &warps[lastIssued];
 }
 
 void
@@ -297,9 +303,10 @@ SimtCore::aluOp(Opcode op, std::int64_t a, std::int64_t b) const
     const auto ua = static_cast<std::uint64_t>(a);
     const auto ub = static_cast<std::uint64_t>(b);
     switch (op) {
-      case Opcode::Add: return a + b;
-      case Opcode::Sub: return a - b;
-      case Opcode::Mul: return a * b;
+      // Wrapping two's-complement arithmetic: signed overflow is UB.
+      case Opcode::Add: return static_cast<std::int64_t>(ua + ub);
+      case Opcode::Sub: return static_cast<std::int64_t>(ua - ub);
+      case Opcode::Mul: return static_cast<std::int64_t>(ua * ub);
       case Opcode::DivU: return ub ? static_cast<std::int64_t>(ua / ub) : 0;
       case Opcode::RemU: return ub ? static_cast<std::int64_t>(ua % ub) : 0;
       case Opcode::MinS: return a < b ? a : b;

@@ -13,6 +13,8 @@
 #ifndef GETM_SIMT_SIMT_CORE_HH
 #define GETM_SIMT_SIMT_CORE_HH
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -34,9 +36,13 @@ namespace getm {
 class CheckSink;
 class FaultInjector;
 
+/** Most warp slots one core can hold: one bit each in a 64-bit mask. */
+constexpr unsigned maxWarpSlots = 64;
+
 /** Configuration of one SIMT core. */
 struct CoreConfig
 {
+    /** Warp slots; at most maxWarpSlots (the scheduler's bitmasks). */
     unsigned maxWarps = 48;
     /**
      * Warp instructions issued per cycle. Table II's 2 x 16-wide SIMD
@@ -272,6 +278,8 @@ class SimtCore
         ar(totalThreads, workExhausted, warps, stateOf, wakeOf, l1,
            mshrs, txActive, lastIssued, liveWarps, txFrozen,
            currentCycle, randomGen, statSet);
+        if constexpr (!Ar::saving)
+            rebuildStateMasks();
         if (protocol) {
             if constexpr (Ar::saving)
                 protocol->ckptSave(ar);
@@ -297,6 +305,26 @@ class SimtCore
     void checkAllAbortedCommitPoint(Warp &warp);
     void wakeThrottled();
 
+    /** Record @p slot's new state in stateOf and the state masks. */
+    void
+    setSlotState(unsigned slot, WarpState state)
+    {
+        const std::uint64_t bit = std::uint64_t{1} << slot;
+        slotsIn[static_cast<unsigned>(stateOf[slot])] &= ~bit;
+        slotsIn[static_cast<unsigned>(state)] |= bit;
+        stateOf[slot] = state;
+    }
+
+    /** Slots currently in @p state, one bit per slot. */
+    std::uint64_t
+    slotsInState(WarpState state) const
+    {
+        return slotsIn[static_cast<unsigned>(state)];
+    }
+
+    /** Recompute slotsIn from stateOf (after a checkpoint load). */
+    void rebuildStateMasks();
+
     /** Set a warp's wake cycle, keeping the dense mirror in sync. */
     void
     setWake(Warp &warp, Cycle wake)
@@ -321,14 +349,20 @@ class SimtCore
 
     std::vector<Warp> warps;
     /**
-     * Dense mirrors of Warp::state / Warp::wakeCycle, indexed by slot.
-     * The scheduler scans every slot per tick; walking 48 full Warp
-     * structs is cache-hostile, so the scan fields live in two flat
-     * arrays kept in sync at the few mutation sites (changeState,
-     * setWake, launch).
+     * Dense mirrors of Warp::state / Warp::wakeCycle, indexed by slot,
+     * kept in sync at the few mutation sites (changeState, setWake,
+     * launch), so the scheduler never touches a full Warp struct.
      */
     std::vector<WarpState> stateOf;
     std::vector<Cycle> wakeOf;
+    /**
+     * One bitmask of slots per WarpState (bit = slot), written only by
+     * setSlotState() alongside stateOf. The scheduler walks set bits
+     * of the ready, timed-wait and free masks instead of every slot.
+     * Derived state: not checkpointed, rebuilt on load.
+     */
+    std::array<std::uint64_t, static_cast<unsigned>(WarpState::Idle) + 1>
+        slotsIn{};
     CacheModel l1;
     MshrFile mshrs;
     unsigned txActive = 0;

@@ -68,6 +68,26 @@ TEST(ConfigFile, RolloverZeroDisables)
     EXPECT_EQ(cfg.rolloverThreshold, 100u);
 }
 
+TEST(ConfigFile, WarpsPerCoreCappedAtSixtyFour)
+{
+    // The SIMT scheduler keeps one 64-bit slot mask per warp state.
+    GpuConfig cfg;
+    std::string error;
+    EXPECT_TRUE(applyConfigText("warps_per_core = 64\n", cfg, error))
+        << error;
+    EXPECT_EQ(cfg.core.maxWarps, 64u);
+    EXPECT_FALSE(applyConfigText("warps_per_core = 65\n", cfg, error));
+    EXPECT_NE(error.find("warps_per_core must be at most 64"),
+              std::string::npos)
+        << error;
+
+    // Programmatic configs get the same screening.
+    GpuConfig direct = GpuConfig::gtx480();
+    direct.core.maxWarps = 96;
+    EXPECT_FALSE(validateGpuConfig(direct, error));
+    EXPECT_NE(error.find("invalid config"), std::string::npos) << error;
+}
+
 TEST(ConfigFile, MissingFileReportsError)
 {
     GpuConfig cfg;

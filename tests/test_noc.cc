@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "noc/crossbar.hh"
 
 namespace getm {
@@ -100,6 +102,28 @@ TEST(Crossbar, NextArrivalTracksEarliest)
     EXPECT_TRUE(xbar.hasReady(1, 16));
     xbar.popReady(1);
     EXPECT_TRUE(xbar.idle());
+}
+
+TEST(Crossbar, SendLowersDestinationWake)
+{
+    // The cycle loop learns of arrivals from the wake list alone: each
+    // send lowers its destination's entry to the arrival cycle and
+    // never raises it.
+    Crossbar<int> xbar("x", 2, 2, config());
+    std::vector<Cycle> wake(2, 100);
+    xbar.wakeInto(wake.data());
+    EXPECT_EQ(xbar.headArrival(1), ~static_cast<Cycle>(0));
+    xbar.send(0, 1, 8, 10, 1);
+    EXPECT_EQ(wake[0], 100u);
+    EXPECT_EQ(wake[1], 16u);
+    EXPECT_EQ(xbar.headArrival(1), 16u);
+    wake[1] = 12;
+    xbar.send(1, 1, 8, 10, 2); // ejection port busy: arrives at 17
+    EXPECT_EQ(wake[1], 12u);
+    EXPECT_EQ(xbar.headArrival(1), 16u);
+    xbar.popReady(1);
+    EXPECT_EQ(xbar.headArrival(1), 17u);
+    EXPECT_EQ(xbar.nextArrival(), 17u);
 }
 
 TEST(Crossbar, NotReadyBeforeArrival)

@@ -208,6 +208,32 @@ TEST(Simt, ManyMoreWarpsThanSlotsRefill)
         ASSERT_EQ(gpu.memory().read(out + 4 * t), t);
 }
 
+TEST(Simt, SixtyFourSlotCoreUsesEverySlot)
+{
+    // 64 slots is the cap (one bit per slot in the scheduler's state
+    // masks): the top slot must launch, issue and refill like the rest.
+    GpuConfig cfg = GpuConfig::testRig();
+    cfg.numCores = 1;
+    cfg.core.maxWarps = 64;
+    GpuSystem gpu(cfg);
+    const unsigned n = 3 * 64 * warpSize;
+    const Addr out = gpu.memory().allocate(4 * n);
+
+    KernelBuilder kb("wide");
+    const Reg tid(1), addr(2), slow(3);
+    kb.readSpecial(tid, SpecialReg::ThreadId);
+    kb.hash(slow, tid, tid); // a long op: pipeline waits on every slot
+    kb.shli(addr, tid, 2);
+    kb.addi(addr, addr, static_cast<std::int64_t>(out));
+    kb.store(addr, tid);
+    kb.exit();
+    gpu.run(kb.build(), n);
+
+    for (unsigned t = 0; t < n; ++t)
+        ASSERT_EQ(gpu.memory().read(out + 4 * t), t);
+    EXPECT_EQ(gpu.coreAt(0).stats().counter("warps_launched"), 3u * 64);
+}
+
 TEST(Simt, PartialLastWarp)
 {
     // A launch that is not a multiple of the warp size masks off the
