@@ -86,13 +86,12 @@ main()
             spec.scale = scale;
             spec.seed = seed;
             variant.tweak(spec.gpu);
-            const BenchOutcome outcome = runBench(spec);
+            const RunResult run = runBench(spec);
             if (base_cycles == 0)
-                base_cycles = static_cast<double>(outcome.run.cycles);
+                base_cycles = static_cast<double>(run.cycles);
             std::printf(" %9.3f %9.0f",
-                        static_cast<double>(outcome.run.cycles) /
-                            base_cycles,
-                        outcome.run.abortsPer1kCommits());
+                        static_cast<double>(run.cycles) / base_cycles,
+                        run.abortsPer1kCommits());
         }
         std::printf("\n");
         std::fflush(stdout);
@@ -114,11 +113,10 @@ main()
             spec.scale = scale;
             spec.seed = seed;
             spec.gpu.wtm.pipelineDepth = depth;
-            const BenchOutcome outcome = runBench(spec);
+            const RunResult run = runBench(spec);
             if (base == 0)
-                base = static_cast<double>(outcome.run.cycles);
-            std::printf(" %9.3f",
-                        static_cast<double>(outcome.run.cycles) / base);
+                base = static_cast<double>(run.cycles);
+            std::printf(" %9.3f", static_cast<double>(run.cycles) / base);
         }
         std::printf("\n");
         std::fflush(stdout);

@@ -1,19 +1,13 @@
 /**
  * @file
- * Shared driver for the paper-reproduction benches.
- *
- * Every bench binary regenerates one table or figure from the paper's
- * evaluation (Sec. III and VI). Runs are sized by a scale factor
- * (GETM_BENCH_SCALE, default 1.0 = the paper's workload sizes; smaller
- * values trade fidelity for wall-clock time). Absolute cycle counts
- * differ from the paper's GPGPU-Sim numbers by design -- the claims
- * under reproduction are the *relative* shapes.
+ * Shared driver for the in-process benches (ablation_getm,
+ * perf_throughput). Runs are sized by a scale factor (GETM_BENCH_SCALE,
+ * default 1.0 = the paper's workload sizes).
  */
 
 #ifndef GETM_BENCH_BENCH_COMMON_HH
 #define GETM_BENCH_BENCH_COMMON_HH
 
-#include <string>
 #include <vector>
 
 #include "gpu/gpu_system.hh"
@@ -34,32 +28,13 @@ struct BenchSpec
     BenchId bench;
     ProtocolKind protocol = ProtocolKind::Getm;
     double scale = 0.25;
-    /** Tx-warps-per-core limit; 0 means Table IV's optimum. */
-    unsigned concurrency = 0;
     /** Base GPU configuration (protocol field is overridden). */
     GpuConfig gpu = GpuConfig::gtx480();
     std::uint64_t seed = 7;
 };
 
-/** Result of one execution, with verification enforced. */
-struct BenchOutcome
-{
-    RunResult run;
-    std::uint64_t threads = 0;
-};
-
 /** Run one benchmark; aborts the bench if verification fails. */
-BenchOutcome runBench(const BenchSpec &spec);
-
-/** "cycles" for the lock baseline of @p bench (memoized per scale). */
-std::uint64_t lockBaselineCycles(BenchId bench, double scale,
-                                 std::uint64_t seed);
-
-/** Printf-style row helpers for table output. */
-void printHeader(const std::string &title,
-                 const std::vector<std::string> &columns);
-void printRow(const std::string &label,
-              const std::vector<double> &values);
+RunResult runBench(const BenchSpec &spec);
 
 /** Geometric mean of positive values. */
 double gmean(const std::vector<double> &values);

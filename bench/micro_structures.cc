@@ -5,7 +5,7 @@
  * Bloom filter operations, stall-buffer operations, H3 hashing, and the
  * intra-warp conflict-detection table. These measure the *simulator's*
  * throughput (host nanoseconds), complementing the modelled-cycle
- * numbers of fig13_cuckoo_latency.
+ * numbers of Fig. 13 (configs/sweeps/fig10_12_protocols.sweep).
  */
 
 #include <benchmark/benchmark.h>

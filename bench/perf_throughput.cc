@@ -3,8 +3,8 @@
  * Wall-clock throughput harness: how fast does the simulator itself
  * run?
  *
- * Unlike the fig/tab benches (which reproduce the paper's results),
- * this one measures the *simulator*: simulated cycles per wall-clock
+ * Unlike the figure sweeps (which reproduce the paper's results),
+ * this harness measures the *simulator*: simulated cycles per wall-clock
  * second and executed instructions per second, per protocol, on a
  * fixed workload set, plus peak RSS. It writes BENCH_perf.json so
  * every PR has a measured throughput trajectory and CI can catch

@@ -215,10 +215,26 @@ TEST(TxTracer, JsonExportCarriesSchemaAndKillChains)
     EXPECT_NE(doc.find("\"reason\":\"WAR_TS\""), std::string::npos);
 }
 
+/** Every TM protocol the tracer observes; GETM is the rig's default. */
+class TxTracerEndToEnd : public ::testing::TestWithParam<ProtocolKind>
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    TmProtocols, TxTracerEndToEnd,
+    ::testing::Values(ProtocolKind::Getm, ProtocolKind::WarpTmLL,
+                      ProtocolKind::WarpTmEL, ProtocolKind::Eapg),
+    [](const auto &info) {
+        std::string name = protocolName(info.param);
+        std::erase(name, '-');
+        return name;
+    });
+
 /** Trace a real run and hold the invariants over real transactions. */
-TEST(TxTracerEndToEnd, HashtableRunSatisfiesTheInvariants)
+TEST_P(TxTracerEndToEnd, HashtableRunSatisfiesTheInvariants)
 {
     GpuConfig cfg = GpuConfig::testRig();
+    cfg.protocol = GetParam();
     cfg.traceTx = 1;
     GpuSystem gpu(cfg);
     auto workload = makeWorkload(BenchId::HtH, 0.01, 123);
@@ -264,7 +280,7 @@ TEST(TxTracerEndToEnd, HashtableRunSatisfiesTheInvariants)
 }
 
 /** Sampling traces a strict subset but keeps every invariant. */
-TEST(TxTracerEndToEnd, SampledRunTracesASubset)
+TEST(TxTracerSampling, SampledRunTracesASubset)
 {
     GpuConfig cfg = GpuConfig::testRig();
     cfg.traceTx = 4;

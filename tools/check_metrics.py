@@ -32,7 +32,10 @@ standalone points/<id>.trace.json side file with schema
 defining invariant is checked per transaction: the exec/noc/stall/
 validation/retry cycle categories sum exactly to the transaction's
 lifetime, and every kill chain refers back to a traced transaction
-whose abort list it restates.
+whose abort list it restates. When the trace is embedded in a metrics
+document, its raw scheduler-state totals are bounded by the run's
+counters: raw_exec + raw_mem <= run.tx_exec_cycles and raw_validate +
+raw_backoff <= run.tx_wait_cycles.
 
 Schema versions are parsed from src/obs/schema_version.hh, the single
 source of truth shared with the C++ exporters.
@@ -441,6 +444,15 @@ def check_document(doc):
     check_timeseries(doc["timeseries"])
     if "tx_trace" in doc:
         check_tx_trace(doc["tx_trace"])
+        # The tracer clips at txbegin and skips pre-begin throttling, so
+        # its raw scheduler-state totals are bounded by the counters.
+        totals, run = doc["tx_trace"]["totals"], doc["run"]
+        for a, b, counter in (("raw_exec", "raw_mem", "tx_exec_cycles"),
+                              ("raw_validate", "raw_backoff",
+                               "tx_wait_cycles")):
+            require(totals[a] + totals[b] <= run[counter],
+                    f"tx_trace {a} + {b} = {totals[a] + totals[b]} "
+                    f"exceeds run.{counter} = {run[counter]}")
 
     for name, hist in doc["stats"]["histograms"].items():
         total = sum(b["count"] for b in hist["buckets"])

@@ -10,8 +10,8 @@
  * where it stopped. See docs/SWEEPS.md for the manifest schema.
  *
  *     getm-sweep --manifest configs/sweeps/smoke.sweep
- *     getm-sweep --manifest configs/sweeps/fig11_exec_time.sweep \
- *         --dir out/fig11 --jobs 8
+ *     getm-sweep --manifest configs/sweeps/fig10_12_protocols.sweep \
+ *         --dir out/fig10_12 --jobs 8
  *     getm-sweep --manifest m.sweep --list
  */
 

@@ -1,5 +1,8 @@
 # End-to-end metrics check driven by ctest: run the simulator with
 # --metrics and validate the emitted document with check_metrics.py.
+# The run is traced (--trace-tx 1, observe-only), so the embedded
+# tx_trace section and its bounds against the run's tx_exec/tx_wait
+# counters are validated too.
 #
 # Expected variables:
 #   SIM_BIN  - path to the getm-sim binary
@@ -11,7 +14,7 @@ set(metrics_file "${OUT_DIR}/metrics_check.json")
 
 execute_process(
     COMMAND "${SIM_BIN}" --bench HT-H --protocol getm --scale 0.05
-            --metrics "${metrics_file}"
+            --trace-tx 1 --metrics "${metrics_file}"
     RESULT_VARIABLE sim_status
     OUTPUT_VARIABLE sim_output
     ERROR_VARIABLE sim_output)
