@@ -8,6 +8,10 @@ namespace getm {
 double
 ZipfianGenerator::zeta(std::uint64_t n, double theta)
 {
+    // Every term is pow(i, 0) == 1, and a sum of n ones is exact in a
+    // double for n < 2^53: the closed form is bit-identical to the loop.
+    if (theta == 0.0)
+        return double(n);
     double sum = 0.0;
     for (std::uint64_t i = 1; i <= n; i++)
         sum += 1.0 / std::pow(double(i), theta);

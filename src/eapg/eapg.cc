@@ -56,11 +56,42 @@ EapgPartitionUnit::onDecisionApplied(std::uint64_t tx_id, Cycle now)
     stDoneBroadcasts.add(ctx.numCores());
 }
 
+EapgCoreTm::RemoteWriteSet *
+EapgCoreTm::findRemote(std::uint64_t tx_id)
+{
+    for (std::size_t i = 0; i < liveRemote; ++i)
+        if (remote[i].txId == tx_id)
+            return &remote[i];
+    return nullptr;
+}
+
+bool
+EapgCoreTm::remoteWrites(Addr addr) const
+{
+    if (!remoteSig.mayContain(addr))
+        return false;
+    for (std::size_t i = 0; i < liveRemote; ++i)
+        if (remote[i].contains(addr))
+            return true;
+    return false;
+}
+
+void
+EapgCoreTm::rebuildRemoteSignature()
+{
+    remoteSig.clear();
+    for (std::size_t i = 0; i < liveRemote; ++i)
+        remoteSig |= remote[i].sig;
+}
+
 void
 EapgCoreTm::onBroadcast(const MemMsg &msg)
 {
     if (msg.kind == MsgKind::EapgCommitDone) {
-        remote.erase(msg.txId);
+        if (RemoteWriteSet *done = findRemote(msg.txId)) {
+            std::swap(*done, remote[--liveRemote]);
+            rebuildRemoteSignature();
+        }
         // Retry paused commits whose conflicts may have cleared.
         std::vector<std::uint32_t> retry;
         retry.swap(paused);
@@ -75,12 +106,36 @@ EapgCoreTm::onBroadcast(const MemMsg &msg)
         return;
     }
 
-    // Conflict-set broadcast: early-abort running (not yet committing)
-    // transactions that read a location the writer is committing.
-    auto &write_set = remote[msg.txId];
-    for (const LaneOp &op : msg.ops)
-        write_set.insert(op.addr);
-    for (Warp &warp : core.allWarps()) {
+    // Conflict-set broadcast: merge it into the writer's write set (a
+    // writer spanning several partitions sends one per partition)...
+    RemoteWriteSet *write_set = findRemote(msg.txId);
+    if (!write_set) {
+        if (liveRemote == remote.size())
+            remote.emplace_back();
+        write_set = &remote[liveRemote++];
+        write_set->txId = msg.txId;
+        write_set->addrs.clear();
+        write_set->sig.clear();
+    }
+    for (const LaneOp &op : msg.ops) {
+        write_set->addrs.push_back(op.addr);
+        write_set->sig.add(op.addr);
+        remoteSig.add(op.addr);
+    }
+    std::sort(write_set->addrs.begin(), write_set->addrs.end());
+    write_set->addrs.erase(
+        std::unique(write_set->addrs.begin(), write_set->addrs.end()),
+        write_set->addrs.end());
+
+    // ...then early-abort running (not yet committing) transactions
+    // that read a location the writer is committing. Only live slots
+    // can hold a transaction; the mask is re-read after every warp, in
+    // ascending slot order, because an abort can change warp states.
+    std::uint64_t live = core.liveSlots();
+    while (live) {
+        const unsigned slot = static_cast<unsigned>(std::countr_zero(live));
+        live = core.liveSlots() & ~((std::uint64_t{2} << slot) - 1);
+        Warp &warp = core.allWarps()[slot];
         if (!warp.inTx || warp.commitPointFired)
             continue;
         const int txi = warp.transactionIndex();
@@ -92,7 +147,7 @@ EapgCoreTm::onBroadcast(const MemMsg &msg)
             if (!(warp.stack[txi].mask & (1u << lane)))
                 continue;
             for (const LogEntry &entry : warp.logs[lane].readLog()) {
-                if (write_set.count(entry.addr)) {
+                if (write_set->contains(entry.addr)) {
                     hit |= 1u << lane;
                     if (conflict == invalidAddr)
                         conflict = core.granuleOf(entry.addr);
@@ -124,28 +179,17 @@ EapgCoreTm::onBroadcast(const MemMsg &msg)
 bool
 EapgCoreTm::maybePause(Warp &warp)
 {
+    const auto hits_remote = [this](const std::vector<LogEntry> &log) {
+        return std::any_of(log.begin(), log.end(),
+                           [this](const LogEntry &entry) {
+                               return remoteWrites(entry.addr);
+                           });
+    };
     bool conflict = false;
-    for (LaneId lane = 0; lane < warpSize && !conflict; ++lane) {
-        const LaneMask bit = 1u << lane;
-        if (!((warp.wtmValidating | warp.wtmSilent) & bit))
-            continue;
-        for (const auto &[tx_id, write_set] : remote) {
-            for (const LogEntry &entry : warp.logs[lane].readLog())
-                if (write_set.count(entry.addr)) {
-                    conflict = true;
-                    break;
-                }
-            if (conflict)
-                break;
-            for (const LogEntry &entry : warp.logs[lane].writeLog())
-                if (write_set.count(entry.addr)) {
-                    conflict = true;
-                    break;
-                }
-            if (conflict)
-                break;
-        }
-    }
+    for (LaneId lane = 0; lane < warpSize && !conflict; ++lane)
+        if ((warp.wtmValidating | warp.wtmSilent) & (1u << lane))
+            conflict = hits_remote(warp.logs[lane].readLog()) ||
+                       hits_remote(warp.logs[lane].writeLog());
     if (!conflict)
         return false;
     if (std::find(paused.begin(), paused.end(), warp.slot) == paused.end())
@@ -159,7 +203,9 @@ void
 EapgCoreTm::ckptSave(ckpt::Writer &ar)
 {
     WtmCoreTm::ckptSave(ar);
-    ar(remote, paused);
+    std::vector<RemoteWriteSet> live(remote.begin(),
+                                     remote.begin() + liveRemote);
+    ar(live, paused);
 }
 
 void
@@ -167,6 +213,8 @@ EapgCoreTm::ckptLoad(ckpt::Reader &ar)
 {
     WtmCoreTm::ckptLoad(ar);
     ar(remote, paused);
+    liveRemote = remote.size();
+    rebuildRemoteSignature();
 }
 
 } // namespace getm

@@ -21,8 +21,9 @@
 #ifndef GETM_EAPG_EAPG_HH
 #define GETM_EAPG_EAPG_HH
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "warptm/wtm_core_tm.hh"
@@ -53,6 +54,53 @@ class EapgPartitionUnit : public WtmPartitionUnit
     StatSet::Counter &stDoneBroadcasts;
 };
 
+/**
+ * Fixed-width Bloom-style address signature: a cheap "maybe" in front
+ * of an exact lookup. One bit per address, chosen by a multiplicative
+ * hash; no false negatives.
+ */
+class AddrSignature
+{
+  public:
+    static constexpr unsigned bits = 512;
+
+    void add(Addr addr) { words[bitOf(addr) / 64] |= bitMask(addr); }
+
+    bool
+    mayContain(Addr addr) const
+    {
+        return words[bitOf(addr) / 64] & bitMask(addr);
+    }
+
+    AddrSignature &
+    operator|=(const AddrSignature &other)
+    {
+        for (unsigned w = 0; w < words.size(); ++w)
+            words[w] |= other.words[w];
+        return *this;
+    }
+
+    void clear() { words.fill(0); }
+
+  private:
+    static unsigned
+    bitOf(Addr addr)
+    {
+        // Fibonacci hashing: the top log2(bits) bits of the product mix
+        // every address bit, so word-strided addresses spread evenly.
+        return static_cast<unsigned>((addr * 0x9e3779b97f4a7c15ull) >> 55);
+    }
+
+    static std::uint64_t
+    bitMask(Addr addr)
+    {
+        return std::uint64_t{1} << (bitOf(addr) % 64);
+    }
+
+    static_assert(bits == 1u << 9, "bitOf() keeps the top 9 hash bits");
+    std::array<std::uint64_t, bits / 64> words{};
+};
+
 /** EAPG core engine: WarpTM plus early abort and pause-n-go. */
 class EapgCoreTm : public WtmCoreTm
 {
@@ -68,12 +116,59 @@ class EapgCoreTm : public WtmCoreTm
     void ckptSave(ckpt::Writer &ar) override;
     void ckptLoad(ckpt::Reader &ar) override;
 
+    /** Remote commits whose signature arrived but commit-done has not. */
+    std::size_t liveRemoteWriteSets() const { return liveRemote; }
+
   protected:
     bool maybePause(Warp &warp) override;
 
   private:
-    /** Write sets of remote commits currently in progress. */
-    std::unordered_map<std::uint64_t, std::unordered_set<Addr>> remote;
+    /** The write set of one remote commit currently in progress. */
+    struct RemoteWriteSet
+    {
+        std::uint64_t txId = 0;
+        std::vector<Addr> addrs; ///< Sorted, unique.
+        AddrSignature sig;       ///< Of addrs; rebuilt on load.
+
+        bool
+        contains(Addr addr) const
+        {
+            return sig.mayContain(addr) &&
+                   std::binary_search(addrs.begin(), addrs.end(), addr);
+        }
+
+        template <class Ar>
+        void
+        ckpt(Ar &ar)
+        {
+            ar(txId, addrs);
+            if constexpr (!Ar::saving) {
+                sig.clear();
+                for (Addr addr : addrs)
+                    sig.add(addr);
+            }
+        }
+    };
+
+    /** The live write set of @p tx_id, or null. */
+    RemoteWriteSet *findRemote(std::uint64_t tx_id);
+
+    /** True if any live remote write set holds @p addr. */
+    bool remoteWrites(Addr addr) const;
+
+    /** Recompute remoteSig from the live write sets. */
+    void rebuildRemoteSignature();
+
+    /**
+     * Write sets of remote commits in progress: remote[0, liveRemote)
+     * are live; the entries past them keep their address capacity for
+     * reuse. Removal swaps with the last live entry, so order carries
+     * no meaning.
+     */
+    std::vector<RemoteWriteSet> remote;
+    std::size_t liveRemote = 0;
+    /** OR of every live write set's signature. */
+    AddrSignature remoteSig;
 
     /** Warp slots paused at their commit point. */
     std::vector<std::uint32_t> paused;

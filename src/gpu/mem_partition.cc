@@ -57,11 +57,14 @@ MemPartition::tick(Cycle now)
     // 1. Inject due responses into the down crossbar at their exact
     //    ready cycles.
     while (!outQueue.empty() && outQueue.top().when <= now) {
-        Outbound out = outQueue.top();
+        // Move the message out (pop() orders by when/seq only).
+        Outbound &top = const_cast<Outbound &>(outQueue.top());
+        const Cycle when = top.when;
+        MemMsg msg = std::move(top.msg);
         outQueue.pop();
-        const unsigned bytes = out.msg.bytes;
-        const CoreId core = out.msg.core;
-        xbarDown.send(id, core, bytes, out.when, std::move(out.msg));
+        const unsigned bytes = msg.bytes;
+        const CoreId core = msg.core;
+        xbarDown.send(id, core, bytes, when, std::move(msg));
     }
 
     // 2. Pop and process at most one inbound message per cycle, gated by

@@ -142,10 +142,12 @@ class Crossbar
     MsgT
     popReady(unsigned dst)
     {
-        Entry top = inbox[dst].top();
+        // Move the payload out rather than copy it: pop() orders by
+        // (when, seq) only, which a moved-from message keeps.
+        MsgT msg = std::move(const_cast<Entry &>(inbox[dst].top()).msg);
         inbox[dst].pop();
         --pending;
-        return std::move(top.msg);
+        return msg;
     }
 
     /** Arrival cycle of the oldest message queued for @p dst (or ~0). */

@@ -103,7 +103,7 @@ struct TxRecord
      * tx_exec_cycles and validate+backoff its tx_wait_cycles (the
      * tracer's totals are provably <= those aggregate counters: it
      * clips at txbegin and excludes pre-begin throttling), which is
-     * what the fig10_tx_cycles cross-check leans on.
+     * what tools/check_metrics.py asserts on every embedded trace.
      */
     std::uint64_t rawExec = 0, rawMem = 0, rawValidate = 0,
                   rawBackoff = 0;

@@ -95,6 +95,9 @@ class SimtCore
     /** Install the protocol engine (may be null for the lock baseline). */
     void setProtocol(std::unique_ptr<TmCoreProtocol> engine);
 
+    /** The installed protocol engine (null for the lock baseline). */
+    TmCoreProtocol *protocolEngine() { return protocol.get(); }
+
     /** Begin executing @p kernel; warps are pulled from @p work. */
     void startKernel(const Kernel *kernel, std::uint64_t total_threads,
                      WorkFn work, Cycle now);
@@ -195,6 +198,21 @@ class SimtCore
 
     /** Broadcast hook: iterate warps with active transactions. */
     std::vector<Warp> &allWarps() { return warps; }
+
+    /**
+     * Slots holding a launched, unfinished warp (any state but Idle or
+     * Finished), one bit per slot: only these can be in a transaction.
+     */
+    std::uint64_t
+    liveSlots() const
+    {
+        return slotsInState(WarpState::Ready) |
+               slotsInState(WarpState::MemWait) |
+               slotsInState(WarpState::ThrottleWait) |
+               slotsInState(WarpState::CommitWait) |
+               slotsInState(WarpState::BackoffWait) |
+               slotsInState(WarpState::PipelineWait);
+    }
 
     /** Number of warps currently holding the tx throttle. */
     unsigned activeTxWarps() const { return txActive; }

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -179,9 +180,11 @@ SweepManifest::parse(const std::string &text,
             continue;
         }
         if (key == "config") {
-            baseConfigPath = manifest_dir.empty()
-                                 ? value_text
-                                 : manifest_dir + "/" + value_text;
+            baseConfigPath =
+                manifest_dir.empty() ||
+                        std::filesystem::path(value_text).is_absolute()
+                    ? value_text
+                    : manifest_dir + "/" + value_text;
             continue;
         }
         if (key == "max_cycles") {

@@ -8,18 +8,18 @@
  * of values; the sweep is the cross product of every axis, in the
  * order the axes appear in the file. Example:
  *
- *     # configs/sweeps/fig14_sensitivity.sweep
- *     name = fig14-sensitivity
- *     scale = 1.0
- *     bench = HT-H HT-M HT-L ATM BH
+ *     # configs/sweeps/fig14_table_size.sweep
+ *     name = fig14-table-size
+ *     bench = all
  *     protocol = getm
  *     getm_precise_entries = 2048 4096 8192
+ *     scale = 1.0
  *
  * Recognized keys:
  *
  *   name          sweep identity (required; stamped into sweep.json)
- *   config        base GpuConfig file applied to every point, resolved
- *                 relative to the manifest's directory
+ *   config        base GpuConfig file applied to every point; a relative
+ *                 path is resolved against the manifest's directory
  *   bench         axis: workload specs — Table III names, `all` (= the
  *                 nine paper benches), or parameterized tokens like
  *                 `YCSB:theta=0.95` (colon-separated key=value pairs;
@@ -95,7 +95,7 @@ class SweepManifest
     /**
      * Parse manifest @p text. @p manifest_dir anchors relative
      * `config =` paths (pass the manifest file's directory, or "" for
-     * the working directory).
+     * the working directory); absolute paths are kept as they are.
      * @return false with @p error set on syntax errors, unknown keys,
      *         unknown bench/protocol names, or empty axes.
      */

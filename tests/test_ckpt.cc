@@ -23,6 +23,7 @@
 #include "ckpt/checkpoint.hh"
 #include "ckpt/serial.hh"
 #include "common/sim_error.hh"
+#include "eapg/eapg.hh"
 #include "gpu/gpu_system.hh"
 #include "workloads/workload.hh"
 
@@ -249,6 +250,18 @@ runRig(GpuConfig cfg, double scale = 0.02)
     return gpu.run(workload->kernel(), workload->numThreads());
 }
 
+/** Remote write sets live in every core's EAPG engine, summed. */
+std::size_t
+liveRemoteWriteSets(GpuSystem &gpu)
+{
+    std::size_t live = 0;
+    for (unsigned c = 0; c < gpu.numCores(); ++c)
+        live += dynamic_cast<EapgCoreTm &>(
+                    *gpu.coreAt(c).protocolEngine())
+                    .liveRemoteWriteSets();
+    return live;
+}
+
 } // namespace
 
 TEST(CkptSystem, RestoredRunMatchesUninterrupted)
@@ -276,6 +289,51 @@ TEST(CkptSystem, RestoredRunMatchesUninterrupted)
     EXPECT_EQ(restored.commits, base.commits);
     EXPECT_EQ(restored.aborts, base.aborts);
     EXPECT_EQ(restored.xbarFlits, base.xbarFlits);
+}
+
+TEST(CkptSystem, EapgRestoreWithLiveRemoteWriteSetsMatches)
+{
+    // EAPG cores hold the write sets of remote commits between their
+    // signature and commit-done broadcasts. Cut a run where some are
+    // live, so the snapshot carries them (their signatures are rebuilt
+    // on load), and require the restored run to finish identically.
+    const std::string dir = scratchDir("eapg");
+    GpuConfig cfg = GpuConfig::testRig();
+    cfg.protocol = ProtocolKind::Eapg;
+    cfg.core.txWarpLimit =
+        optimalConcurrency(BenchId::HtH, cfg.protocol);
+    const auto run_hth = [](GpuSystem &gpu, Cycle max_cycles) {
+        auto workload = makeWorkload(BenchId::HtH, 0.02, 7);
+        workload->setup(gpu, false);
+        RunResult result = gpu.run(workload->kernel(),
+                                   workload->numThreads(), max_cycles);
+        std::string why;
+        EXPECT_TRUE(workload->verify(gpu, why)) << why;
+        return result;
+    };
+    const Cycle no_limit = 2'000'000'000ull;
+
+    GpuSystem base_gpu(cfg);
+    const RunResult base = run_hth(base_gpu, no_limit);
+    ASSERT_GT(base.stats.counter("eapg_early_aborts"), 0u);
+
+    // A cycle-limit stop writes a final snapshot of the machine as it
+    // stands, which the test can inspect before restoring it.
+    const Cycle cut = base.cycles / 2;
+    GpuConfig save_cfg = cfg;
+    save_cfg.ckptDir = dir;
+    GpuSystem cut_gpu(save_cfg);
+    EXPECT_THROW(run_hth(cut_gpu, cut), SimError);
+    ASSERT_GT(liveRemoteWriteSets(cut_gpu), 0u)
+        << "no remote write set live at cycle " << cut;
+
+    GpuConfig restore_cfg = cfg;
+    restore_cfg.restorePath = dir;
+    GpuSystem restored_gpu(restore_cfg);
+    const RunResult restored = run_hth(restored_gpu, no_limit);
+    EXPECT_EQ(restored.cycles, base.cycles);
+    EXPECT_EQ(restored.xbarFlits, base.xbarFlits);
+    EXPECT_EQ(restored.stats.dump(), base.stats.dump());
 }
 
 TEST(CkptSystem, WrongWorkloadConfigurationRefusesToRestore)

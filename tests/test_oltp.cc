@@ -66,6 +66,16 @@ TEST(Zipfian, ThetaZeroIsUniform)
     }
 }
 
+TEST(Zipfian, ThetaZeroMassIsExactlyOneOverN)
+{
+    // YCSB's uniform key space: 4M keys at scale 1.0.
+    const std::uint64_t n = 4'000'000;
+    EXPECT_EQ(ZipfianGenerator::zeta(n, 0.0), static_cast<double>(n));
+    const ZipfianGenerator g(n, 0.0);
+    for (std::uint64_t r : {std::uint64_t{0}, std::uint64_t{1}, n / 2, n - 1})
+        EXPECT_EQ(g.mass(r), 1.0 / static_cast<double>(n)) << "rank " << r;
+}
+
 TEST(Zipfian, MassSumsToOne)
 {
     const std::uint64_t n = 1000;

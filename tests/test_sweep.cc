@@ -193,6 +193,31 @@ TEST(SweepManifest, SingleValueAxesStayOutOfTheId)
     EXPECT_EQ(points[0].config.getmGranule, 64u);
 }
 
+TEST(SweepManifest, ConfigPathsAnchorOnlyWhenRelative)
+{
+    const std::string dir = scratchDir("abs_config");
+    std::filesystem::create_directories(dir + "/sweeps");
+    std::ofstream(dir + "/base.cfg") << "cores = 3\n";
+    const std::string abs_path =
+        std::filesystem::absolute(dir + "/base.cfg").string();
+
+    // An absolute path is used as written, whatever the manifest's
+    // directory; a relative one is joined onto it.
+    for (const std::string &config : {abs_path, std::string("../base.cfg")}) {
+        SweepManifest manifest;
+        std::string error;
+        ASSERT_TRUE(manifest.parse("name = demo\nconfig = " + config + "\n",
+                                   dir + "/sweeps", error))
+            << error;
+        std::vector<SweepPoint> points;
+        ASSERT_TRUE(manifest.enumerate(points, error)) << config << ": "
+                                                       << error;
+        ASSERT_EQ(points.size(), 1u);
+        EXPECT_EQ(points[0].config.numCores, 3u) << config;
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(SweepManifest, BenchAllExpandsToTheFullSuite)
 {
     SweepManifest manifest;

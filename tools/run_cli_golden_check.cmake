@@ -15,6 +15,9 @@
 # miss:
 #   - paper_ht-h_<protocol>: HT-H at scale 1.0 under GETM, WarpTM-LL
 #     and EAPG;
+#   - paper_cl_eapg: CL at scale 1.0 under EAPG, whose thousands of
+#     early aborts and pauses pin the early-abort attribution and the
+#     pause/retry path at scale;
 #   - paper_ycsb-hot_getm: YCSB:theta=0.99 at scale 0.1 under GETM.
 #
 # Regenerate a golden only for an intended behaviour change, with the
@@ -32,7 +35,7 @@ file(MAKE_DIRECTORY "${work_dir}")
 set(fixtures
     plain_getm plain_warptm plain_warptm-el plain_eapg
     instrumented inject
-    paper_ht-h_getm paper_ht-h_warptm paper_ht-h_eapg
+    paper_ht-h_getm paper_ht-h_warptm paper_ht-h_eapg paper_cl_eapg
     paper_ycsb-hot_getm)
 
 foreach(fixture ${fixtures})
@@ -46,6 +49,10 @@ foreach(fixture ${fixtures})
     elseif(fixture MATCHES "^paper_ht-h_(.+)$")
         set(scale 1.0)
         set(protocol "${CMAKE_MATCH_1}")
+    elseif(fixture STREQUAL "paper_cl_eapg")
+        set(bench CL)
+        set(scale 1.0)
+        set(protocol eapg)
     elseif(fixture STREQUAL "paper_ycsb-hot_getm")
         set(bench YCSB:theta=0.99)
         set(scale 0.1)
