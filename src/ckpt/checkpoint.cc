@@ -127,7 +127,7 @@ decode(const std::string &bytes, std::uint64_t expectedConfigHash,
     snap.configHash = readAt<std::uint64_t>(bytes, 12);
     snap.cycle = readAt<std::uint64_t>(bytes, 20);
     if (snap.configHash != expectedConfigHash) {
-        char buf[96];
+        char buf[128]; // the message is 105 characters
         std::snprintf(buf, sizeof(buf),
                       "config mismatch (snapshot %016llx, this run "
                       "%016llx) -- wrong workload or configuration",

@@ -43,7 +43,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <queue>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -365,35 +364,6 @@ io(Ar &ar, std::unordered_set<K, H, E, Alloc> &value)
             entries.push_back(std::move(key));
         }
         detail::loadUnordered(value, std::move(entries), buckets);
-    }
-}
-
-/**
- * Priority queues serialize in pop order and reload by re-push: every
- * queue in the simulator totally orders its entries (unique sequence
- * tiebreaks), so the internal heap layout is unobservable.
- */
-template <class Ar, class T, class Container, class Cmp>
-void
-io(Ar &ar, std::priority_queue<T, Container, Cmp> &value)
-{
-    if constexpr (Ar::saving) {
-        std::priority_queue<T, Container, Cmp> copy = value;
-        std::uint64_t n = copy.size();
-        ar.raw(&n, sizeof(n));
-        while (!copy.empty()) {
-            T element = copy.top();
-            copy.pop();
-            io(ar, element);
-        }
-    } else {
-        value = std::priority_queue<T, Container, Cmp>{};
-        const std::uint64_t n = detail::readCount(ar);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            T element{};
-            io(ar, element);
-            value.push(std::move(element));
-        }
     }
 }
 

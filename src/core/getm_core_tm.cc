@@ -74,9 +74,15 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
         msg.wid = warp.gwid;
         msg.warpSlot = warp.slot;
         msg.ts = warp.warpts;
+        LaneMask group = 0;
+        for (LaneId lane = lead; lane < warpSize; ++lane)
+            if ((pending & (1u << lane)) &&
+                core.granuleOf(addrs[lane]) == granule)
+                group |= 1u << lane;
+        pending &= ~group;
+        msg.ops.reserve(std::popcount(group));
         for (LaneId lane = lead; lane < warpSize; ++lane) {
-            if (!(pending & (1u << lane)) ||
-                core.granuleOf(addrs[lane]) != granule)
+            if (!(group & (1u << lane)))
                 continue;
             if (is_store)
                 msg.ops.push_back({static_cast<std::uint8_t>(lane), granule,
@@ -84,7 +90,6 @@ GetmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
             else
                 msg.ops.push_back({static_cast<std::uint8_t>(lane),
                                    addrs[lane], 0, 0});
-            pending &= ~(1u << lane);
         }
         msg.bytes = 12; // address + warpts + warp id
         if (ObsSink *tracer = core.tracer())

@@ -45,7 +45,7 @@ GetmPartitionUnit::handleRequest(MemMsg &&msg, Cycle now)
 }
 
 void
-GetmPartitionUnit::respondLoad(const MemMsg &msg, Cycle ready, Cycle now)
+GetmPartitionUnit::respondLoad(MemMsg &msg, Cycle ready, Cycle now)
 {
     MemMsg resp;
     resp.kind = MsgKind::GetmLoadResp;
@@ -56,12 +56,14 @@ GetmPartitionUnit::respondLoad(const MemMsg &msg, Cycle ready, Cycle now)
     resp.addr = msg.addr;
     resp.outcome = GetmOutcome::Success;
     Cycle extra = 0;
-    for (const LaneOp &op : msg.ops) {
+    resp.ops = std::move(msg.ops);
+    for (LaneOp &op : resp.ops) {
         // Data is bound at the serialization point (now), not delivery.
         const std::uint32_t value = ctx.memory().read(op.addr);
         if (CheckSink *cs = ctx.check())
             cs->readObserved(msg.wid, op.lane, op.addr, value);
-        resp.ops.push_back({op.lane, op.addr, value, 0});
+        op.value = value;
+        op.aux = 0;
         extra = std::max(
             extra, ctx.accessLlc(op.addr, /*is_write=*/false, now));
     }

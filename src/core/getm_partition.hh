@@ -69,7 +69,8 @@ class GetmPartitionUnit : public TmPartitionProtocol
     /** Grant stalled requests after #writes reached zero. */
     Cycle releaseWaiters(Addr granule, Cycle now);
 
-    void respondLoad(const MemMsg &msg, Cycle ready, Cycle now);
+    /** Answer a load; the response takes over @p msg's ops buffer. */
+    void respondLoad(MemMsg &msg, Cycle ready, Cycle now);
     void respondStoreAck(const MemMsg &msg, Cycle ready);
     /**
      * Abort the requester. The validation unit decides *why* here

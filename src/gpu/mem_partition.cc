@@ -35,7 +35,17 @@ MemPartition::setProtocol(std::unique_ptr<TmPartitionProtocol> unit)
 void
 MemPartition::scheduleToCore(MemMsg &&msg, Cycle when)
 {
-    outQueue.push(Outbound{when, outSeq++, std::move(msg)});
+    std::uint32_t slot;
+    if (freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(outSlab.size());
+        outSlab.push_back(std::move(msg));
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+        outSlab[slot] = std::move(msg);
+    }
+    outKeys.push_back({when, outSeq++, slot});
+    std::push_heap(outKeys.begin(), outKeys.end(), OutKey::later);
 }
 
 Cycle
@@ -56,15 +66,15 @@ MemPartition::tick(Cycle now)
 {
     // 1. Inject due responses into the down crossbar at their exact
     //    ready cycles.
-    while (!outQueue.empty() && outQueue.top().when <= now) {
-        // Move the message out (pop() orders by when/seq only).
-        Outbound &top = const_cast<Outbound &>(outQueue.top());
-        const Cycle when = top.when;
-        MemMsg msg = std::move(top.msg);
-        outQueue.pop();
+    while (!outKeys.empty() && outKeys.front().when <= now) {
+        std::pop_heap(outKeys.begin(), outKeys.end(), OutKey::later);
+        const OutKey key = outKeys.back();
+        outKeys.pop_back();
+        MemMsg msg = std::move(outSlab[key.slot]);
+        freeSlots.push_back(key.slot);
         const unsigned bytes = msg.bytes;
         const CoreId core = msg.core;
-        xbarDown.send(id, core, bytes, when, std::move(msg));
+        xbarDown.send(id, core, bytes, key.when, std::move(msg));
     }
 
     // 2. Pop and process at most one inbound message per cycle, gated by
@@ -103,8 +113,12 @@ MemPartition::handleLocal(MemMsg &&msg, Cycle now)
         resp.addr = msg.addr;
         resp.flag = msg.flag;
         resp.txId = msg.txId;
-        for (const LaneOp &op : msg.ops)
-            resp.ops.push_back({op.lane, op.addr, store.read(op.addr), 0});
+        // The response echoes the request's lanes: reuse its buffer.
+        resp.ops = std::move(msg.ops);
+        for (LaneOp &op : resp.ops) {
+            op.value = store.read(op.addr);
+            op.aux = 0;
+        }
         // MSHR-tracked fills return a whole L1 line; volatile reads and
         // unmerged fallbacks return just the requested words.
         resp.bytes = msg.txId == 1
@@ -149,8 +163,10 @@ MemPartition::handleLocal(MemMsg &&msg, Cycle now)
         resp.wid = msg.wid;
         resp.warpSlot = msg.warpSlot;
         resp.addr = msg.addr;
-        // Atomics to the same line serialize here, one per cycle.
-        for (const LaneOp &op : msg.ops) {
+        // Atomics to the same line serialize here, one per cycle. The
+        // response echoes the request's lanes: reuse its buffer.
+        resp.ops = std::move(msg.ops);
+        for (LaneOp &op : resp.ops) {
             std::uint32_t old;
             switch (static_cast<AtomicOp>(msg.aop)) {
               case AtomicOp::Cas:
@@ -167,9 +183,10 @@ MemPartition::handleLocal(MemMsg &&msg, Cycle now)
                 checkSink->externalWrite(op.addr, store.read(op.addr));
             if (proto)
                 proto->noteDataWrite(op.addr, now);
-            resp.ops.push_back({op.lane, op.addr, old, 0});
+            op.value = old;
+            op.aux = 0;
         }
-        const Cycle busy = std::max<Cycle>(1, msg.ops.size());
+        const Cycle busy = std::max<Cycle>(1, resp.ops.size());
         resp.bytes = 8 + 4 * static_cast<unsigned>(resp.ops.size());
         scheduleToCore(std::move(resp), now + busy + llcLat + extra);
         stAtomics.add();
@@ -185,8 +202,8 @@ Cycle
 MemPartition::nextEventCycle(Cycle now) const
 {
     Cycle best = ~static_cast<Cycle>(0);
-    if (!outQueue.empty())
-        best = std::min(best, outQueue.top().when);
+    if (!outKeys.empty())
+        best = std::min(best, outKeys.front().when);
     // The next pop: once the head request has arrived and the unit is
     // free, never earlier than the next cycle.
     const Cycle head = xbarUp.headArrival(id);
@@ -202,7 +219,7 @@ MemPartition::idle(Cycle now) const
 {
     // popFree past `now` with nothing queued is not "busy": it only
     // gates future pops, of which there are none.
-    return outQueue.empty() && !xbarUp.hasReady(id, now);
+    return outKeys.empty() && !xbarUp.hasReady(id, now);
 }
 
 } // namespace getm

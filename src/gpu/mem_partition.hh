@@ -7,15 +7,19 @@
  * (Table II: validation bandwidth 1 request/cycle per partition); the
  * handler's busy time gates subsequent pops. Outbound responses are
  * scheduled at their exact ready cycles and injected into the down
- * crossbar then.
+ * crossbar then. Ready cycles are not monotone (DRAM latency and
+ * protocol delays vary), so the out-queue is a binary heap, but of
+ * small (when, seq, slot) keys over a recycled message slab: a sift
+ * moves 24 bytes, never a message.
  */
 
 #ifndef GETM_GPU_MEM_PARTITION_HH
 #define GETM_GPU_MEM_PARTITION_HH
 
+#include <algorithm>
 #include <functional>
 #include <memory>
-#include <queue>
+#include <vector>
 
 #include "mem/address_map.hh"
 #include "mem/backing_store.hh"
@@ -95,28 +99,73 @@ class MemPartition : public PartitionContext
     void
     ckpt(Ar &ar)
     {
-        ar(llcCache, dram, popFree, outSeq, outQueue, statSet);
+        ar(llcCache, dram, popFree, outSeq);
+        ckptOutQueue(ar);
+        ar(statSet);
     }
 
   private:
     /** Handle non-transactional reads/writes and atomics locally. */
     Cycle handleLocal(MemMsg &&msg, Cycle now);
 
+    /** An out-queue heap key: the message waits in outSlab[slot]. */
+    struct OutKey
+    {
+        Cycle when;
+        std::uint64_t seq;
+        std::uint32_t slot;
+
+        /** Heap order: the earliest (when, seq) key sits on top. */
+        static bool
+        later(const OutKey &a, const OutKey &b)
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
+    };
+
+    /** An out-queue record as checkpoints store it. */
     struct Outbound
     {
         Cycle when;
         std::uint64_t seq;
         MemMsg msg;
 
-        bool
-        operator>(const Outbound &other) const
-        {
-            return when != other.when ? when > other.when
-                                      : seq > other.seq;
-        }
-
         template <class Ar> void ckpt(Ar &ar) { ar(when, seq, msg); }
     };
+
+    /**
+     * The out-queue serializes as a count and its records in (when, seq)
+     * order, a total order, so heap and slab layout are unobservable.
+     */
+    template <class Ar>
+    void
+    ckptOutQueue(Ar &ar)
+    {
+        if constexpr (Ar::saving) {
+            std::vector<OutKey> keys = outKeys;
+            std::sort(keys.begin(), keys.end(),
+                      [](const OutKey &a, const OutKey &b) {
+                          return OutKey::later(b, a);
+                      });
+            std::uint64_t n = keys.size();
+            ar(n);
+            for (OutKey &key : keys)
+                ar(key.when, key.seq, outSlab[key.slot]);
+        } else {
+            std::vector<Outbound> records;
+            ar(records);
+            outKeys.clear();
+            outSlab.clear();
+            freeSlots.clear();
+            for (Outbound &record : records) {
+                outKeys.push_back({record.when, record.seq,
+                                   static_cast<std::uint32_t>(
+                                       outSlab.size())});
+                outSlab.push_back(std::move(record.msg));
+            }
+            std::make_heap(outKeys.begin(), outKeys.end(), OutKey::later);
+        }
+    }
 
     PartitionId id;
     unsigned cores;
@@ -135,9 +184,11 @@ class MemPartition : public PartitionContext
 
     Cycle popFree = 0;
     std::uint64_t outSeq = 0;
-    std::priority_queue<Outbound, std::vector<Outbound>,
-                        std::greater<Outbound>>
-        outQueue;
+    /** Min-heap (by OutKey::later) of the queued responses' keys. */
+    std::vector<OutKey> outKeys;
+    /** Queued responses; slots listed in freeSlots are vacant. */
+    std::vector<MemMsg> outSlab;
+    std::vector<std::uint32_t> freeSlots;
     StatSet statSet;
 
     // Hot-path stat handles: one add per handled request.

@@ -9,20 +9,26 @@
  * and contention effects that make WarpTM's two-round-trip commits
  * expensive without simulating individual flits.
  *
- * Timing is computed analytically at send time; delivery ordering per
- * destination is by computed arrival cycle (ties broken FIFO).
+ * Timing is computed analytically at send time. Each destination's
+ * ejection port serializes its arrivals: route() returns
+ * max(head arrival, dstFree[dst]) + flits and then sets dstFree[dst] to
+ * that cycle, so arrivals at one destination never decrease in send
+ * order. (when, seq) order per destination is therefore send order,
+ * and each inbox is a plain FIFO ring; send() panics if the invariant
+ * ever breaks.
  */
 
 #ifndef GETM_NOC_CROSSBAR_HH
 #define GETM_NOC_CROSSBAR_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -114,7 +120,13 @@ class Crossbar
         const Cycle when = timing.route(src, dst, bytes, now);
         if (sendHook)
             sendHook(msg, now, when);
-        inbox[dst].push(Entry{when, seq++, std::move(msg)});
+        Inbox &queue = inbox[dst];
+        if (queue.count && when < queue.at(queue.count - 1).when)
+            panic("crossbar arrival %llu at dst %u precedes queued %llu",
+                  static_cast<unsigned long long>(when), dst,
+                  static_cast<unsigned long long>(
+                      queue.at(queue.count - 1).when));
+        queue.push(when, seq++, std::move(msg));
         ++pending;
         if (wake && when < wake[dst])
             wake[dst] = when;
@@ -135,17 +147,16 @@ class Crossbar
     bool
     hasReady(unsigned dst, Cycle now) const
     {
-        return !inbox[dst].empty() && inbox[dst].top().when <= now;
+        return inbox[dst].count && inbox[dst].at(0).when <= now;
     }
 
     /** Pop the oldest arrived message for @p dst (must be hasReady()). */
     MsgT
     popReady(unsigned dst)
     {
-        // Move the payload out rather than copy it: pop() orders by
-        // (when, seq) only, which a moved-from message keeps.
-        MsgT msg = std::move(const_cast<Entry &>(inbox[dst].top()).msg);
-        inbox[dst].pop();
+        Inbox &queue = inbox[dst];
+        MsgT msg = std::move(queue.at(0).msg);
+        queue.pop();
         --pending;
         return msg;
     }
@@ -154,8 +165,8 @@ class Crossbar
     Cycle
     headArrival(unsigned dst) const
     {
-        return inbox[dst].empty() ? ~static_cast<Cycle>(0)
-                                  : inbox[dst].top().when;
+        return inbox[dst].count ? inbox[dst].at(0).when
+                                : ~static_cast<Cycle>(0);
     }
 
     /** Earliest pending arrival across all destinations (or ~0); a
@@ -180,9 +191,9 @@ class Crossbar
 
     /**
      * Checkpoint hook: timing state, send sequence, and every in-flight
-     * message (each inbox drains/reloads in (when, seq) pop order, a
-     * total order, so heap layout is unobservable). The in-flight gauge
-     * is recomputed on load; the wake list is the owner's to rebuild.
+     * message (each inbox as a count and its entries in FIFO order, so
+     * ring layout is unobservable). The in-flight gauge is recomputed
+     * on load; the wake list is the owner's to rebuild.
      */
     template <class Ar>
     void
@@ -192,8 +203,8 @@ class Crossbar
         ar(seq, inbox);
         if constexpr (!Ar::saving) {
             std::size_t n = 0;
-            for (const auto &queue : inbox)
-                n += queue.size();
+            for (const Inbox &queue : inbox)
+                n += queue.count;
             pending = n;
         }
     }
@@ -205,14 +216,80 @@ class Crossbar
         std::uint64_t seq;
         MsgT msg;
 
-        bool
-        operator>(const Entry &other) const
+        template <class Ar> void ckpt(Ar &ar) { ar(when, seq, msg); }
+    };
+
+    /**
+     * One destination's FIFO: a ring over a vector whose size is zero
+     * or a power of two, doubled when full. Popped slots keep their
+     * moved-from entries until a later push reuses them.
+     */
+    struct Inbox
+    {
+        std::vector<Entry> ring;
+        std::size_t head = 0;
+        std::size_t count = 0;
+
+        /** The @p i-th entry in FIFO order. */
+        Entry &
+        at(std::size_t i)
         {
-            return when != other.when ? when > other.when
-                                      : seq > other.seq;
+            return ring[(head + i) & (ring.size() - 1)];
         }
 
-        template <class Ar> void ckpt(Ar &ar) { ar(when, seq, msg); }
+        const Entry &
+        at(std::size_t i) const
+        {
+            return ring[(head + i) & (ring.size() - 1)];
+        }
+
+        void
+        push(Cycle when, std::uint64_t seq, MsgT &&msg)
+        {
+            if (count == ring.size())
+                grow();
+            Entry &slot = at(count);
+            slot.when = when;
+            slot.seq = seq;
+            slot.msg = std::move(msg);
+            ++count;
+        }
+
+        void
+        pop()
+        {
+            head = (head + 1) & (ring.size() - 1);
+            --count;
+        }
+
+        void
+        grow()
+        {
+            std::vector<Entry> bigger(ring.empty() ? 8 : 2 * ring.size());
+            for (std::size_t i = 0; i < count; ++i)
+                bigger[i] = std::move(at(i));
+            ring = std::move(bigger);
+            head = 0;
+        }
+
+        /** Same bytes as a std::vector<Entry> in FIFO order. */
+        template <class Ar>
+        void
+        ckpt(Ar &ar)
+        {
+            if constexpr (Ar::saving) {
+                std::uint64_t n = count;
+                ar(n);
+                for (std::size_t i = 0; i < count; ++i)
+                    ar(at(i));
+            } else {
+                ar(ring);
+                head = 0;
+                count = ring.size();
+                if (count)
+                    ring.resize(std::bit_ceil(count));
+            }
+        }
     };
 
     CrossbarTiming timing;
@@ -221,9 +298,7 @@ class Crossbar
     /** In-flight gauge: messages sent but not yet popped. */
     std::size_t pending = 0;
     Cycle *wake = nullptr;
-    std::vector<std::priority_queue<Entry, std::vector<Entry>,
-                                    std::greater<Entry>>>
-        inbox;
+    std::vector<Inbox> inbox;
 };
 
 } // namespace getm

@@ -108,14 +108,17 @@ WtmCoreTm::txAccess(Warp &warp, bool is_store, const LaneAddrs &addrs,
         msg.wid = warp.gwid;
         msg.warpSlot = warp.slot;
         msg.ts = warp.warpts;
-        for (LaneId lane = lead; lane < warpSize; ++lane) {
-            if (!(pending & (1u << lane)) ||
-                core.granuleOf(addrs[lane]) != granule)
-                continue;
-            msg.ops.push_back(
-                {static_cast<std::uint8_t>(lane), addrs[lane], 0, 0});
-            pending &= ~(1u << lane);
-        }
+        LaneMask group = 0;
+        for (LaneId lane = lead; lane < warpSize; ++lane)
+            if ((pending & (1u << lane)) &&
+                core.granuleOf(addrs[lane]) == granule)
+                group |= 1u << lane;
+        pending &= ~group;
+        msg.ops.reserve(std::popcount(group));
+        for (LaneId lane = lead; lane < warpSize; ++lane)
+            if (group & (1u << lane))
+                msg.ops.push_back(
+                    {static_cast<std::uint8_t>(lane), addrs[lane], 0, 0});
         msg.bytes = 8 + 4 * static_cast<unsigned>(msg.ops.size());
         if (ObsSink *tracer = core.tracer())
             tracer->txAccessIssue(warp.gwid, granule, /*store=*/false,

@@ -41,14 +41,16 @@ WtmPartitionUnit::handleRequest(MemMsg &&msg, Cycle now)
         resp.warpSlot = msg.warpSlot;
         resp.addr = msg.addr;
         Cycle extra = 0;
-        for (const LaneOp &op : msg.ops) {
+        // The response echoes the request's lanes: reuse its buffer.
+        resp.ops = std::move(msg.ops);
+        for (LaneOp &op : resp.ops) {
             const Cycle last = tcd.lookup(op.addr).first;
             const std::uint32_t value = ctx.memory().read(op.addr);
             if (CheckSink *cs = ctx.check())
                 cs->readObserved(msg.wid, op.lane, op.addr, value);
-            resp.ops.push_back({op.lane, op.addr, value,
-                                static_cast<std::uint32_t>(std::min<Cycle>(
-                                    last, 0xffffffffu))});
+            op.value = value;
+            op.aux = static_cast<std::uint32_t>(
+                std::min<Cycle>(last, 0xffffffffu));
             extra = std::max(extra, ctx.accessLlc(op.addr, false, now));
         }
         resp.bytes = 8 + 8 * static_cast<unsigned>(resp.ops.size());

@@ -166,6 +166,8 @@ TEST(CkptFormat, WrongConfigHashIsTyped)
         bytes, sampleSnapshot().configHash ^ 1);
     EXPECT_NE(e.diagnostic().message.find("config mismatch"),
               std::string::npos);
+    EXPECT_NE(e.diagnostic().message.find("wrong workload or configuration"),
+              std::string::npos);
 }
 
 // --------------------------------------------------------------------------

@@ -7,6 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <random>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "ckpt/serial.hh"
 #include "gpu/gpu_system.hh"
 #include "gpu/mem_partition.hh"
 
@@ -182,6 +189,81 @@ TEST(MemPartition, IdleAndNextEventReporting)
         ++now;
     EXPECT_FALSE(rig.part.idle(now));
     EXPECT_NE(rig.part.nextEventCycle(now), ~static_cast<Cycle>(0));
+}
+
+/** Reference out-queue of (when, tag), popped smallest first. */
+using RefQueue = std::priority_queue<std::tuple<Cycle, std::uint32_t>,
+                                     std::vector<std::tuple<Cycle,
+                                                            std::uint32_t>>,
+                                     std::greater<>>;
+
+/** Schedule @p count responses tagged by seq at random ready cycles. */
+void
+scheduleRandom(MemPartition &part, std::mt19937_64 &rng, Cycle base,
+               std::uint32_t first_tag, unsigned count, RefQueue &reference)
+{
+    for (unsigned i = 0; i < count; ++i) {
+        MemMsg msg;
+        msg.kind = MsgKind::NtxReadResp;
+        msg.seq = first_tag + i;
+        const Cycle when = base + rng() % 64; // repeats force seq ties
+        reference.emplace(when, msg.seq);
+        part.scheduleToCore(std::move(msg), when);
+    }
+}
+
+TEST(MemPartition, OutQueuePopsInWhenSeqOrderAcrossSlotReuse)
+{
+    // Ready cycles arrive out of order; tags grow with scheduling order,
+    // so (when, tag) order is the out-queue's (when, seq) order. A
+    // partial drain frees slots that the second batch reuses; a
+    // checkpoint taken then must reload to the same drain order.
+    Rig rig;
+    std::mt19937_64 rng(11);
+    RefQueue reference;
+    std::vector<std::uint32_t> expected;
+    const auto drainReference = [&](Cycle now) {
+        while (!reference.empty() && std::get<0>(reference.top()) <= now) {
+            expected.push_back(std::get<1>(reference.top()));
+            reference.pop();
+        }
+    };
+
+    scheduleRandom(rig.part, rng, 100, 0, 200, reference);
+    rig.part.tick(130);
+    drainReference(130);
+    const std::size_t first_drain = expected.size();
+    ASSERT_GT(first_drain, 0u);
+    scheduleRandom(rig.part, rng, 120, 200, 200, reference);
+    EXPECT_EQ(rig.part.nextEventCycle(130), std::get<0>(reference.top()));
+
+    ckpt::Writer saver;
+    rig.part.ckpt(saver);
+    const std::string bytes = saver.take();
+    Rig copy;
+    ckpt::Reader loader(bytes.data(), bytes.size());
+    copy.part.ckpt(loader);
+    ckpt::Writer resaver;
+    copy.part.ckpt(resaver);
+    EXPECT_EQ(resaver.take(), bytes);
+
+    drainReference(~static_cast<Cycle>(0));
+    ASSERT_EQ(expected.size(), 400u);
+    rig.part.tick(1000);
+    copy.part.tick(1000);
+    EXPECT_TRUE(rig.part.idle(1000));
+    // The down crossbar delivers in send order, which is drain order.
+    const auto delivered = [](Rig &r) {
+        std::vector<std::uint32_t> order;
+        while (r.down.hasReady(0, ~static_cast<Cycle>(0)))
+            order.push_back(r.down.popReady(0).seq);
+        return order;
+    };
+    EXPECT_EQ(delivered(rig), expected);
+    // The copy starts from the checkpoint, after the first drain.
+    EXPECT_EQ(delivered(copy),
+              std::vector<std::uint32_t>(expected.begin() + first_drain,
+                                         expected.end()));
 }
 
 } // namespace
