@@ -80,13 +80,13 @@ main()
         std::printf("%-8s", benchName(bench));
         double base_cycles = 0;
         for (const Variant &variant : variants) {
-            BenchSpec spec;
-            spec.bench = bench;
-            spec.protocol = ProtocolKind::Getm;
-            spec.scale = scale;
-            spec.seed = seed;
-            variant.tweak(spec.gpu);
-            const RunResult run = runBench(spec);
+            SweepPoint point;
+            point.bench = WorkloadSpec{benchName(bench)};
+            point.protocol = ProtocolKind::Getm;
+            point.scale = scale;
+            point.seed = seed;
+            variant.tweak(point.config);
+            const RunResult run = runBench(point);
             if (base_cycles == 0)
                 base_cycles = static_cast<double>(run.cycles);
             std::printf(" %9.3f %9.0f",
@@ -107,13 +107,13 @@ main()
         double base = 0;
         std::printf("%-8s", benchName(bench));
         for (unsigned depth : {8u, 1u, 32u}) {
-            BenchSpec spec;
-            spec.bench = bench;
-            spec.protocol = ProtocolKind::WarpTmLL;
-            spec.scale = scale;
-            spec.seed = seed;
-            spec.gpu.wtm.pipelineDepth = depth;
-            const RunResult run = runBench(spec);
+            SweepPoint point;
+            point.bench = WorkloadSpec{benchName(bench)};
+            point.protocol = ProtocolKind::WarpTmLL;
+            point.scale = scale;
+            point.seed = seed;
+            point.config.wtm.pipelineDepth = depth;
+            const RunResult run = runBench(point);
             if (base == 0)
                 base = static_cast<double>(run.cycles);
             std::printf(" %9.3f", static_cast<double>(run.cycles) / base);

@@ -2,9 +2,9 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <string>
 
 #include "common/log.hh"
+#include "sweep/run_point.hh"
 
 namespace getm {
 namespace bench {
@@ -26,26 +26,15 @@ benchSeed()
 }
 
 RunResult
-runBench(const BenchSpec &spec)
+runBench(SweepPoint point)
 {
-    GpuConfig cfg = spec.gpu;
-    cfg.protocol = spec.protocol;
-    cfg.seed = spec.seed;
-
-    auto workload = makeWorkload(spec.bench, spec.scale, spec.seed);
-    cfg.core.txWarpLimit = optimalConcurrency(spec.bench, spec.protocol);
-
-    GpuSystem gpu(cfg);
-    workload->setup(gpu, spec.protocol == ProtocolKind::FgLock);
-
-    const RunResult run =
-        gpu.run(workload->kernel(), workload->numThreads(), 8'000'000'000ull);
-
-    std::string why;
-    if (!workload->verify(gpu, why))
-        fatal("%s/%s failed verification: %s", benchName(spec.bench),
-              protocolName(spec.protocol), why.c_str());
-    return run;
+    point.maxCycles = 8'000'000'000ull;
+    point.resolve(std::nullopt, /*default_sampler=*/false);
+    PointResult out = runSweepPoint(point);
+    if (!out.meta.verified)
+        fatal("%s/%s failed verification: %s", out.meta.bench.c_str(),
+              out.meta.protocol.c_str(), out.why.c_str());
+    return std::move(out.run);
 }
 
 double

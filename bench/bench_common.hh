@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "gpu/gpu_system.hh"
-#include "workloads/workload.hh"
+#include "sweep/manifest.hh"
 
 namespace getm {
 namespace bench {
@@ -22,19 +22,11 @@ double benchScale();
 /** Workload seed from GETM_BENCH_SEED (default 7). */
 std::uint64_t benchSeed();
 
-/** One configured benchmark execution. */
-struct BenchSpec
-{
-    BenchId bench;
-    ProtocolKind protocol = ProtocolKind::Getm;
-    double scale = 0.25;
-    /** Base GPU configuration (protocol field is overridden). */
-    GpuConfig gpu = GpuConfig::gtx480();
-    std::uint64_t seed = 7;
-};
-
-/** Run one benchmark; aborts the bench if verification fails. */
-RunResult runBench(const BenchSpec &spec);
+/**
+ * Resolve @p point at its Table IV optimum concurrency and run it with
+ * an 8e9-cycle bound; aborts the bench if verification fails.
+ */
+RunResult runBench(SweepPoint point);
 
 /** Geometric mean of positive values. */
 double gmean(const std::vector<double> &values);

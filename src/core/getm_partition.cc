@@ -209,15 +209,15 @@ GetmPartitionUnit::processAccess(MemMsg &&msg, Cycle now)
 
     if (entry.locked()) {
         // Reserved by a logically older transaction: queue until it
-        // commits (or abort if the stall buffer is full).
-        MemMsg queued = std::move(msg);
-        const MemMsg probe = queued; // copy for potential abort response
-        if (!stall.enqueue(granule, std::move(queued), now)) {
+        // commits (or abort if the stall buffer is full). enqueue()
+        // leaves a rejected request whole, so it answers its abort.
+        const GlobalWarpId wid = msg.wid;
+        if (!stall.enqueue(granule, std::move(msg), now)) {
             if (ObsSink *tracer = ctx.trace())
-                tracer->txConflict(probe.wid, entry.owner,
+                tracer->txConflict(msg.wid, entry.owner,
                                    AbortReason::StallBufferFull, granule,
                                    ctx.partitionId(), now);
-            respondAbort(probe, observed, ready,
+            respondAbort(msg, observed, ready,
                          AbortReason::StallBufferFull, granule, now);
         } else {
             stStalledRequests.add();
@@ -226,7 +226,7 @@ GetmPartitionUnit::processAccess(MemMsg &&msg, Cycle now)
                                  ctx.partitionId(),
                                  stall.waitersOn(granule), now);
             if (ObsSink *tracer = ctx.trace())
-                tracer->txStallEnter(probe.wid, granule,
+                tracer->txStallEnter(wid, granule,
                                      ctx.partitionId(), traceNow);
         }
         return busy;

@@ -63,7 +63,9 @@ class StallBuffer
      * Try to queue @p msg (a request whose granule is @p key) at cycle
      * @p now; the timestamp is kept so dequeues can report the dwell.
      * @return false if the buffer is full (the caller must abort the
-     *         requester).
+     *         requester). @p msg is moved from only when it is queued:
+     *         a rejected request comes back whole, ops included, so
+     *         the caller can answer it without a copy.
      */
     bool enqueue(Addr key, MemMsg &&msg, Cycle now = 0);
 

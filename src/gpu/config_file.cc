@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "check/fault.hh"
 #include "check/violation.hh"
@@ -22,68 +24,75 @@ trim(const std::string &text)
     return text.substr(begin, end - begin + 1);
 }
 
+/** How a numeric key's file value maps onto its GpuConfig field. */
+enum class Encoding
+{
+    Plain,     ///< The value itself.
+    Kilobytes, ///< KiB in the file, bytes in the field.
+    ZeroIsMax, ///< 0 in the file = the field's maximum (unlimited/off).
+};
+
+/**
+ * The one table of numeric keys, in file and provenance order, shared
+ * by applyKey() and configProvenance(). trace_tx and watchdog_cycles
+ * are observe-only: out of provenance and spec hashes.
+ */
+template <class Config, class Visit>
+void
+forEachNumericKey(Config &cfg, Visit &&visit)
+{
+    auto key = [&visit](const char *name, auto &field,
+                        Encoding encoding = Encoding::Plain,
+                        bool provenance = true) {
+        visit(name, field, encoding, provenance);
+    };
+    key("cores", cfg.numCores);
+    key("partitions", cfg.numPartitions);
+    key("warps_per_core", cfg.core.maxWarps);
+    key("tx_warp_limit", cfg.core.txWarpLimit, Encoding::ZeroIsMax);
+    key("issue_width", cfg.core.issueWidth);
+    key("l1_kb", cfg.core.l1Bytes, Encoding::Kilobytes);
+    key("llc_kb_per_partition", cfg.llcBytesPerPartition,
+        Encoding::Kilobytes);
+    key("llc_latency", cfg.llcLatency);
+    key("line_bytes", cfg.lineBytes);
+    key("xbar_latency", cfg.xbar.latency);
+    key("xbar_flit_bytes", cfg.xbar.flitBytes);
+    key("dram_latency", cfg.dram.accessLatency);
+    key("dram_row_hit_latency", cfg.dram.rowHitLatency);
+    key("dram_banks", cfg.dram.numBanks);
+    key("getm_granule", cfg.getmGranule);
+    key("getm_precise_entries", cfg.getmPreciseEntriesTotal);
+    key("getm_bloom_entries", cfg.getmBloomEntriesTotal);
+    key("getm_max_registers", cfg.getmUseMaxRegisters);
+    key("getm_stall_lines", cfg.getmStall.lines);
+    key("getm_stall_entries", cfg.getmStall.entriesPerLine);
+    key("wtm_tcd_entries", cfg.wtm.tcdEntries);
+    key("rollover_threshold", cfg.rolloverThreshold, Encoding::ZeroIsMax);
+    key("sample_interval", cfg.sampleInterval);
+    key("trace_tx", cfg.traceTx, Encoding::Plain, false);
+    key("watchdog_cycles", cfg.watchdogCycles, Encoding::Plain, false);
+    key("hot_addrs", cfg.hotAddrTopN);
+    key("seed", cfg.seed);
+}
+
 bool
 applyKey(GpuConfig &cfg, const std::string &key, std::uint64_t value)
 {
-    if (key == "cores")
-        cfg.numCores = static_cast<unsigned>(value);
-    else if (key == "partitions")
-        cfg.numPartitions = static_cast<unsigned>(value);
-    else if (key == "warps_per_core")
-        cfg.core.maxWarps = static_cast<unsigned>(value);
-    else if (key == "tx_warp_limit")
-        cfg.core.txWarpLimit =
-            value == 0 ? 0xffffffffu : static_cast<unsigned>(value);
-    else if (key == "issue_width")
-        cfg.core.issueWidth = static_cast<unsigned>(value);
-    else if (key == "l1_kb")
-        cfg.core.l1Bytes = value * 1024;
-    else if (key == "llc_kb_per_partition")
-        cfg.llcBytesPerPartition = value * 1024;
-    else if (key == "llc_latency")
-        cfg.llcLatency = value;
-    else if (key == "line_bytes")
-        cfg.lineBytes = static_cast<unsigned>(value);
-    else if (key == "xbar_latency")
-        cfg.xbar.latency = value;
-    else if (key == "xbar_flit_bytes")
-        cfg.xbar.flitBytes = static_cast<unsigned>(value);
-    else if (key == "dram_latency")
-        cfg.dram.accessLatency = value;
-    else if (key == "dram_row_hit_latency")
-        cfg.dram.rowHitLatency = value;
-    else if (key == "dram_banks")
-        cfg.dram.numBanks = static_cast<unsigned>(value);
-    else if (key == "getm_granule")
-        cfg.getmGranule = static_cast<unsigned>(value);
-    else if (key == "getm_precise_entries")
-        cfg.getmPreciseEntriesTotal = static_cast<unsigned>(value);
-    else if (key == "getm_bloom_entries")
-        cfg.getmBloomEntriesTotal = static_cast<unsigned>(value);
-    else if (key == "getm_max_registers")
-        cfg.getmUseMaxRegisters = value != 0;
-    else if (key == "getm_stall_lines")
-        cfg.getmStall.lines = static_cast<unsigned>(value);
-    else if (key == "getm_stall_entries")
-        cfg.getmStall.entriesPerLine = static_cast<unsigned>(value);
-    else if (key == "wtm_tcd_entries")
-        cfg.wtm.tcdEntries = static_cast<unsigned>(value);
-    else if (key == "rollover_threshold")
-        cfg.rolloverThreshold =
-            value == 0 ? ~static_cast<LogicalTs>(0) : value;
-    else if (key == "sample_interval")
-        cfg.sampleInterval = value;
-    else if (key == "trace_tx")
-        cfg.traceTx = value;
-    else if (key == "watchdog_cycles")
-        cfg.watchdogCycles = value;
-    else if (key == "hot_addrs")
-        cfg.hotAddrTopN = static_cast<unsigned>(value);
-    else if (key == "seed")
-        cfg.seed = value;
-    else
-        return false;
-    return true;
+    bool found = false;
+    forEachNumericKey(cfg, [&](const char *name, auto &field,
+                               Encoding encoding, bool) {
+        using Field = std::remove_reference_t<decltype(field)>;
+        if (found || key != name)
+            return;
+        found = true;
+        if (encoding == Encoding::Kilobytes)
+            value *= 1024;
+        field = encoding == Encoding::ZeroIsMax && value == 0
+                    ? std::numeric_limits<Field>::max()
+                    : static_cast<Field>(value);
+    });
+    return found;
 }
 
 /**
@@ -110,16 +119,14 @@ applyStringKey(GpuConfig &cfg, const std::string &key,
             return false;
         cfg.injectFault = static_cast<unsigned>(kind);
     } else if (key == "inject_prob") {
-        char *end = nullptr;
-        const double prob = std::strtod(value_text.c_str(), &end);
-        if (value_text.empty() || (end && *end != '\0') || prob < 0.0 ||
+        double prob = 0;
+        if (!parseConfigDouble(value_text, prob) || prob < 0.0 ||
             prob > 1.0)
             return false;
         cfg.injectProb = prob;
     } else if (key == "timeout_sec") {
-        char *end = nullptr;
-        const double secs = std::strtod(value_text.c_str(), &end);
-        if (value_text.empty() || (end && *end != '\0') || secs < 0.0)
+        double secs = 0;
+        if (!parseConfigDouble(value_text, secs) || secs < 0.0)
             return false;
         cfg.timeoutSec = secs;
     } else {
@@ -131,51 +138,75 @@ applyStringKey(GpuConfig &cfg, const std::string &key,
 } // namespace
 
 bool
-applyConfigText(const std::string &text, GpuConfig &cfg,
-                std::string &error)
+parseConfigUint(const std::string &text, std::uint64_t &out)
+{
+    if (text.empty())
+        return false;
+    char *end = nullptr;
+    out = std::strtoull(text.c_str(), &end, 0);
+    return end && *end == '\0';
+}
+
+bool
+parseConfigDouble(const std::string &text, double &out)
+{
+    if (text.empty())
+        return false;
+    char *end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    return end && *end == '\0';
+}
+
+bool
+forEachConfigLine(
+    const std::string &text, std::string &error,
+    const std::function<bool(const std::string &, const std::string &,
+                             const std::string &)> &visit)
 {
     std::istringstream in(text);
     std::string line;
-    unsigned line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        const auto comment = line.find('#');
-        if (comment != std::string::npos)
-            line.erase(comment);
-        line = trim(line);
+    for (unsigned line_no = 1; std::getline(in, line); ++line_no) {
+        line = trim(line.substr(0, line.find('#')));
         if (line.empty())
             continue;
+        const std::string at = "line " + std::to_string(line_no) + ": ";
         const auto eq = line.find('=');
         if (eq == std::string::npos) {
-            error = "line " + std::to_string(line_no) + ": expected "
-                    "'key = value'";
+            error = at + "expected 'key = value'";
             return false;
         }
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value_text = trim(line.substr(eq + 1));
+        if (!visit(at, trim(line.substr(0, eq)), trim(line.substr(eq + 1))))
+            return false;
+    }
+    return true;
+}
+
+bool
+applyConfigText(const std::string &text, GpuConfig &cfg,
+                std::string &error)
+{
+    const auto apply = [&](const std::string &at, const std::string &key,
+                           const std::string &value_text) {
         bool handled = false;
         if (!applyStringKey(cfg, key, value_text, handled)) {
-            error = "line " + std::to_string(line_no) +
-                    ": bad value for '" + key + "'";
+            error = at + "bad value for '" + key + "'";
             return false;
         }
         if (handled)
-            continue;
-        char *end = nullptr;
-        const std::uint64_t value =
-            std::strtoull(value_text.c_str(), &end, 0);
-        if (value_text.empty() || (end && *end != '\0')) {
-            error = "line " + std::to_string(line_no) +
-                    ": bad value for '" + key + "'";
+            return true;
+        std::uint64_t value = 0;
+        if (!parseConfigUint(value_text, value)) {
+            error = at + "bad value for '" + key + "'";
             return false;
         }
         if (!applyKey(cfg, key, value)) {
-            error = "line " + std::to_string(line_no) +
-                    ": unknown key '" + key + "'";
+            error = at + "unknown key '" + key + "'";
             return false;
         }
-    }
-    return validateGpuConfig(cfg, error);
+        return true;
+    };
+    return forEachConfigLine(text, error, apply) &&
+           validateGpuConfig(cfg, error);
 }
 
 bool
@@ -229,40 +260,19 @@ std::vector<std::pair<std::string, std::string>>
 configProvenance(const GpuConfig &cfg)
 {
     std::vector<std::pair<std::string, std::string>> out;
-    auto add = [&out](const char *key, std::uint64_t value) {
-        out.emplace_back(key, std::to_string(value));
-    };
     out.emplace_back("protocol", protocolName(cfg.protocol));
-    add("cores", cfg.numCores);
-    add("partitions", cfg.numPartitions);
-    add("warps_per_core", cfg.core.maxWarps);
-    add("tx_warp_limit", cfg.core.txWarpLimit == 0xffffffffu
-                             ? 0
-                             : cfg.core.txWarpLimit);
-    add("issue_width", cfg.core.issueWidth);
-    add("l1_kb", cfg.core.l1Bytes / 1024);
-    add("llc_kb_per_partition", cfg.llcBytesPerPartition / 1024);
-    add("llc_latency", cfg.llcLatency);
-    add("line_bytes", cfg.lineBytes);
-    add("xbar_latency", cfg.xbar.latency);
-    add("xbar_flit_bytes", cfg.xbar.flitBytes);
-    add("dram_latency", cfg.dram.accessLatency);
-    add("dram_row_hit_latency", cfg.dram.rowHitLatency);
-    add("dram_banks", cfg.dram.numBanks);
-    add("getm_granule", cfg.getmGranule);
-    add("getm_precise_entries", cfg.getmPreciseEntriesTotal);
-    add("getm_bloom_entries", cfg.getmBloomEntriesTotal);
-    add("getm_max_registers", cfg.getmUseMaxRegisters ? 1 : 0);
-    add("getm_stall_lines", cfg.getmStall.lines);
-    add("getm_stall_entries", cfg.getmStall.entriesPerLine);
-    add("wtm_tcd_entries", cfg.wtm.tcdEntries);
-    add("rollover_threshold",
-        cfg.rolloverThreshold == ~static_cast<LogicalTs>(0)
-            ? 0
-            : cfg.rolloverThreshold);
-    add("sample_interval", cfg.sampleInterval);
-    add("hot_addrs", cfg.hotAddrTopN);
-    add("seed", cfg.seed);
+    forEachNumericKey(cfg, [&out](const char *name, const auto &field,
+                                  Encoding encoding, bool provenance) {
+        using Field = std::remove_cvref_t<decltype(field)>;
+        std::uint64_t value = field;
+        if (encoding == Encoding::Kilobytes)
+            value /= 1024;
+        else if (encoding == Encoding::ZeroIsMax &&
+                 field == std::numeric_limits<Field>::max())
+            value = 0;
+        if (provenance)
+            out.emplace_back(name, std::to_string(value));
+    });
     return out;
 }
 

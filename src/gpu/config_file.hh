@@ -27,6 +27,7 @@
 #ifndef GETM_GPU_CONFIG_FILE_HH
 #define GETM_GPU_CONFIG_FILE_HH
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +35,21 @@
 #include "gpu/gpu_config.hh"
 
 namespace getm {
+
+/** Parse all of @p text as an unsigned integer (decimal, 0x hex or
+ *  0 octal) or as a double; false when empty or on trailing text. */
+bool parseConfigUint(const std::string &text, std::uint64_t &out);
+bool parseConfigDouble(const std::string &text, double &out);
+
+/** Walk config (and sweep-manifest) @p text: skip `#` comments and
+ *  blank lines, and call @p visit(at, key, value) for each `key =
+ *  value` line, both sides trimmed, @p at its "line N: " error prefix.
+ *  @return false with @p error set on a line without '=', or when
+ *  @p visit does. */
+bool forEachConfigLine(
+    const std::string &text, std::string &error,
+    const std::function<bool(const std::string &, const std::string &,
+                             const std::string &)> &visit);
 
 /**
  * Apply `key = value` lines from @p text onto @p cfg.

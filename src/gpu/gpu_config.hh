@@ -30,6 +30,13 @@ enum class ProtocolKind : std::uint8_t
 /** Human-readable protocol name. */
 const char *protocolName(ProtocolKind kind);
 
+/**
+ * Parse a protocol name, ignoring case: getm, warptm (or warptm-ll),
+ * warptm-el (or el), eapg, fglock (or lock). Every protocolName()
+ * parses back. @return false for anything else.
+ */
+bool parseProtocolName(std::string name, ProtocolKind &out);
+
 /** Full simulated-GPU configuration. */
 struct GpuConfig
 {

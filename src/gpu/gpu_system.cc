@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
 #include <chrono>
 #include <string>
 
@@ -30,6 +31,26 @@ protocolName(ProtocolKind kind)
       case ProtocolKind::Eapg: return "EAPG";
     }
     return "?";
+}
+
+bool
+parseProtocolName(std::string name, ProtocolKind &out)
+{
+    for (auto &ch : name)
+        ch = static_cast<char>(std::tolower(ch));
+    if (name == "getm")
+        out = ProtocolKind::Getm;
+    else if (name == "warptm" || name == "warptm-ll")
+        out = ProtocolKind::WarpTmLL;
+    else if (name == "warptm-el" || name == "el")
+        out = ProtocolKind::WarpTmEL;
+    else if (name == "eapg")
+        out = ProtocolKind::Eapg;
+    else if (name == "fglock" || name == "lock")
+        out = ProtocolKind::FgLock;
+    else
+        return false;
+    return true;
 }
 
 GpuConfig

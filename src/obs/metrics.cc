@@ -253,10 +253,8 @@ failureToJson(const MetricsMeta &meta, const MetricsFailure &failure)
     return w.take();
 }
 
-namespace {
-
 bool
-writeDocument(const std::string &path, const std::string &doc,
+writeTextFile(const std::string &path, const std::string &text,
               std::string &error)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
@@ -265,29 +263,27 @@ writeDocument(const std::string &path, const std::string &doc,
         return false;
     }
     const bool ok =
-        std::fwrite(doc.data(), 1, doc.size(), f) == doc.size() &&
-        std::fputc('\n', f) != EOF;
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
     std::fclose(f);
     if (!ok)
         error = "short write to " + path;
     return ok;
 }
 
-} // namespace
-
 bool
 writeMetricsFile(const std::string &path, const MetricsMeta &meta,
                  const StatSet &stats, const ObsReport &obs,
                  std::string &error)
 {
-    return writeDocument(path, metricsToJson(meta, stats, obs), error);
+    return writeTextFile(path, metricsToJson(meta, stats, obs) + "\n",
+                         error);
 }
 
 bool
 writeFailureFile(const std::string &path, const MetricsMeta &meta,
                  const MetricsFailure &failure, std::string &error)
 {
-    return writeDocument(path, failureToJson(meta, failure), error);
+    return writeTextFile(path, failureToJson(meta, failure) + "\n", error);
 }
 
 } // namespace getm

@@ -97,6 +97,13 @@ std::string failureToJson(const MetricsMeta &meta,
                           const MetricsFailure &failure);
 
 /**
+ * Write @p text to @p path verbatim (also the sweep runner's writer).
+ * @return false (with @p error set) on I/O failure.
+ */
+bool writeTextFile(const std::string &path, const std::string &text,
+                   std::string &error);
+
+/**
  * Render and write the metrics document to @p path.
  * @return false (with @p error set) on I/O failure.
  */

@@ -1,6 +1,5 @@
 #include "sweep/manifest.hh"
 
-#include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -24,16 +23,6 @@ fnv1a64(std::string_view text)
 
 namespace {
 
-std::string
-trim(const std::string &text)
-{
-    const auto begin = text.find_first_not_of(" \t\r");
-    if (begin == std::string::npos)
-        return "";
-    const auto end = text.find_last_not_of(" \t\r");
-    return text.substr(begin, end - begin + 1);
-}
-
 /** Split on commas and/or whitespace; never returns empty tokens. */
 std::vector<std::string>
 splitList(const std::string &text)
@@ -52,46 +41,6 @@ splitList(const std::string &text)
     return out;
 }
 
-bool
-parseProtocolName(std::string name, ProtocolKind &out)
-{
-    for (auto &ch : name)
-        ch = static_cast<char>(std::tolower(ch));
-    if (name == "getm")
-        out = ProtocolKind::Getm;
-    else if (name == "warptm" || name == "warptm-ll")
-        out = ProtocolKind::WarpTmLL;
-    else if (name == "warptm-el" || name == "el")
-        out = ProtocolKind::WarpTmEL;
-    else if (name == "eapg")
-        out = ProtocolKind::Eapg;
-    else if (name == "fglock" || name == "lock")
-        out = ProtocolKind::FgLock;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseUint(const std::string &token, std::uint64_t &out)
-{
-    if (token.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(token.c_str(), &end, 0);
-    return end && *end == '\0';
-}
-
-bool
-parseDouble(const std::string &token, double &out)
-{
-    if (token.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(token.c_str(), &end);
-    return end && *end == '\0';
-}
-
 /** Is @p key a GpuConfig config-file key? Probe a scratch config. */
 bool
 isConfigKey(const std::string &key, const std::string &value)
@@ -102,6 +51,26 @@ isConfigKey(const std::string &key, const std::string &value)
 }
 
 } // namespace
+
+void
+SweepPoint::resolve(std::optional<std::uint64_t> concurrency,
+                    bool default_sampler)
+{
+    config.protocol = protocol;
+    config.seed = seed;
+    if (!concurrency)
+        config.core.txWarpLimit = optimalConcurrency(bench, protocol);
+    else
+        config.core.txWarpLimit = *concurrency == 0
+                                      ? 0xffffffffu
+                                      : static_cast<unsigned>(*concurrency);
+    // A metrics document without time-series is half a metrics
+    // document: default the sampler on unless the caller took explicit
+    // control of the interval.
+    if (default_sampler && config.sampleInterval == 0)
+        config.sampleInterval = 512;
+    id = bench.token() + "+" + protocolName(protocol);
+}
 
 std::uint64_t
 SweepPoint::specHash() const
@@ -149,35 +118,17 @@ SweepManifest::parse(const std::string &text,
     baseConfigPath.clear();
     axes.clear();
 
-    std::istringstream in(text);
-    std::string line;
-    unsigned line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        const auto at = [&line_no] {
-            return "line " + std::to_string(line_no) + ": ";
-        };
-        const auto comment = line.find('#');
-        if (comment != std::string::npos)
-            line.erase(comment);
-        line = trim(line);
-        if (line.empty())
-            continue;
-        const auto eq = line.find('=');
-        if (eq == std::string::npos) {
-            error = at() + "expected 'key = value'";
-            return false;
-        }
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value_text = trim(line.substr(eq + 1));
+    const auto parse_line = [&](const std::string &at,
+                                const std::string &key,
+                                const std::string &value_text) {
         if (value_text.empty()) {
-            error = at() + "empty value for '" + key + "'";
+            error = at + "empty value for '" + key + "'";
             return false;
         }
 
         if (key == "name") {
             sweepName = value_text;
-            continue;
+            return true;
         }
         if (key == "config") {
             baseConfigPath =
@@ -185,27 +136,27 @@ SweepManifest::parse(const std::string &text,
                         std::filesystem::path(value_text).is_absolute()
                     ? value_text
                     : manifest_dir + "/" + value_text;
-            continue;
+            return true;
         }
         if (key == "max_cycles") {
-            if (!parseUint(value_text, maxCycles)) {
-                error = at() + "bad max_cycles";
+            if (!parseConfigUint(value_text, maxCycles)) {
+                error = at + "bad max_cycles";
                 return false;
             }
-            continue;
+            return true;
         }
         if (key == "retries") {
             std::uint64_t value = 0;
-            if (!parseUint(value_text, value) || value > 16) {
-                error = at() + "bad retries (0..16)";
+            if (!parseConfigUint(value_text, value) || value > 16) {
+                error = at + "bad retries (0..16)";
                 return false;
             }
             retries = static_cast<unsigned>(value);
-            continue;
+            return true;
         }
 
         if (findAxis(key)) {
-            error = at() + "duplicate axis '" + key + "'";
+            error = at + "duplicate axis '" + key + "'";
             return false;
         }
 
@@ -224,52 +175,55 @@ SweepManifest::parse(const std::string &text,
                 WorkloadSpec spec;
                 std::string spec_error;
                 if (!parseWorkloadSpec(token, spec, spec_error)) {
-                    error = at() + spec_error;
+                    error = at + spec_error;
                     return false;
                 }
                 axis.values.push_back(spec.token());
             } else if (key == "protocol") {
                 ProtocolKind protocol;
                 if (!parseProtocolName(token, protocol)) {
-                    error = at() + "unknown protocol '" + token + "'";
+                    error = at + "unknown protocol '" + token + "'";
                     return false;
                 }
                 axis.values.push_back(protocolName(protocol));
             } else if (key == "scale") {
                 double scale;
-                if (!parseDouble(token, scale) || scale <= 0) {
-                    error = at() + "bad scale '" + token + "'";
+                if (!parseConfigDouble(token, scale) || scale <= 0) {
+                    error = at + "bad scale '" + token + "'";
                     return false;
                 }
                 axis.values.push_back(jsonNumber(scale));
             } else if (key == "seed") {
                 std::uint64_t seed;
-                if (!parseUint(token, seed)) {
-                    error = at() + "bad seed '" + token + "'";
+                if (!parseConfigUint(token, seed)) {
+                    error = at + "bad seed '" + token + "'";
                     return false;
                 }
                 axis.values.push_back(jsonNumber(seed));
             } else if (key == "concurrency") {
                 std::uint64_t limit;
-                if (token != "opt" && !parseUint(token, limit)) {
-                    error = at() + "bad concurrency '" + token + "'";
+                if (token != "opt" && !parseConfigUint(token, limit)) {
+                    error = at + "bad concurrency '" + token + "'";
                     return false;
                 }
                 axis.values.push_back(token);
             } else if (isConfigKey(key, token)) {
                 axis.values.push_back(token);
             } else {
-                error = at() + "unknown key '" + key +
+                error = at + "unknown key '" + key +
                         "' (or bad value '" + token + "')";
                 return false;
             }
         }
         if (axis.values.empty()) {
-            error = at() + "axis '" + key + "' has no values";
+            error = at + "axis '" + key + "' has no values";
             return false;
         }
         axes.push_back(std::move(axis));
-    }
+        return true;
+    };
+    if (!forEachConfigLine(text, error, parse_line))
+        return false;
 
     if (sweepName.empty()) {
         error = "manifest lacks 'name ='";
@@ -343,7 +297,7 @@ SweepManifest::enumerate(std::vector<SweepPoint> &points,
         point.maxCycles = maxCycles;
         point.retries = retries;
         std::string id_suffix;
-        std::string concurrency_token = "opt";
+        std::optional<std::uint64_t> concurrency; // Unset = "opt".
 
         for (std::size_t a = 0; a < axes.size(); ++a) {
             const Axis &axis = axes[a];
@@ -354,11 +308,13 @@ SweepManifest::enumerate(std::vector<SweepPoint> &points,
             } else if (axis.key == "protocol") {
                 parseProtocolName(value, point.protocol);
             } else if (axis.key == "scale") {
-                parseDouble(value, point.scale);
+                parseConfigDouble(value, point.scale);
             } else if (axis.key == "seed") {
-                parseUint(value, point.seed);
+                parseConfigUint(value, point.seed);
             } else if (axis.key == "concurrency") {
-                concurrency_token = value;
+                std::uint64_t limit = 0;
+                if (parseConfigUint(value, limit)) // "opt" leaves it unset.
+                    concurrency = limit;
             } else if (!applyConfigText(axis.key + " = " + value,
                                         point.config, error)) {
                 error = "axis " + axis.key + ": " + error;
@@ -369,28 +325,10 @@ SweepManifest::enumerate(std::vector<SweepPoint> &points,
                 id_suffix += "+" + axis.key + "=" + value;
         }
 
-        point.config.protocol = point.protocol;
-        point.config.seed = point.seed;
-        if (concurrency_token == "opt")
-            point.txWarpLimit =
-                optimalConcurrency(point.bench, point.protocol);
-        else {
-            std::uint64_t limit = 0;
-            parseUint(concurrency_token, limit);
-            point.txWarpLimit =
-                limit == 0 ? 0xffffffffu : static_cast<unsigned>(limit);
-        }
-        point.config.core.txWarpLimit = point.txWarpLimit;
-
-        // Every point exports a metrics document; default the sampler
-        // on (as `getm-sim --metrics` does) unless the manifest takes
-        // explicit control of the interval.
-        if (point.config.sampleInterval == 0 &&
-            !findAxis("sample_interval"))
-            point.config.sampleInterval = 512;
-
-        point.id = point.bench.token() + "+" +
-                   protocolName(point.protocol) + id_suffix;
+        // Every point exports a metrics document: the sampler defaults
+        // on unless the manifest takes explicit control of the interval.
+        point.resolve(concurrency, !findAxis("sample_interval"));
+        point.id += id_suffix;
         points.push_back(std::move(point));
 
         // Tick the odometer.

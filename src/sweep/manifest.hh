@@ -55,6 +55,7 @@
 #define GETM_SWEEP_MANIFEST_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,19 +69,26 @@ namespace getm {
 struct SweepPoint
 {
     std::string id;        ///< Stable filesystem-safe identity.
-    WorkloadSpec bench;
-    ProtocolKind protocol;
+    WorkloadSpec bench{"HT-H"};
+    ProtocolKind protocol = ProtocolKind::Getm;
     double scale = 0.25;
     std::uint64_t seed = 7;
-    /** Resolved tx-warp limit (the Table IV optimum already applied). */
-    unsigned txWarpLimit = 0;
     std::uint64_t maxCycles = 2'000'000'000ull;
     /** Retry budget after a typed failure (manifest `retries`). Not
      *  part of specHash(): it changes scheduling, not the spec. */
     unsigned retries = 0;
     /** Complete GPU configuration for this point (protocol, seed and
-     *  txWarpLimit already folded in). */
-    GpuConfig config;
+     *  tx-warp limit folded in by resolve()). */
+    GpuConfig config = GpuConfig::gtx480();
+
+    /**
+     * Finish a point (enumerate() and getm-sim): fold protocol, seed
+     * and tx-warp limit (@p concurrency unset = Table IV optimum, 0 =
+     * unlimited) into the config, turn a zero sampler on at 512 cycles
+     * when @p default_sampler, and name it `<bench>+<protocol>`.
+     */
+    void resolve(std::optional<std::uint64_t> concurrency,
+                 bool default_sampler);
 
     /** Resume hash over the resolved spec (see file comment). */
     std::uint64_t specHash() const;

@@ -18,11 +18,9 @@
 #include "common/sim_error.hh"
 #include "common/stop_flag.hh"
 #include "common/thread_pool.hh"
-#include "gpu/config_file.hh"
-#include "gpu/gpu_system.hh"
 #include "obs/metrics.hh"
 #include "obs/tx_tracer.hh"
-#include "workloads/workload.hh"
+#include "sweep/run_point.hh"
 
 namespace getm {
 
@@ -40,122 +38,27 @@ readFile(const std::string &path, std::string &out)
     return true;
 }
 
-bool
-writeFile(const std::string &path, const std::string &content,
-          std::string &error)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        error = "cannot open " + path + " for writing";
-        return false;
-    }
-    const bool ok =
-        std::fwrite(content.data(), 1, content.size(), f) ==
-        content.size();
-    std::fclose(f);
-    if (!ok)
-        error = "short write to " + path;
-    return ok;
-}
-
 /**
  * Simulate one point end to end and render its metrics document.
- * With @p trace_tx nonzero the run is traced and @p trace_doc receives
- * the standalone trace document; the returned metrics document stays
- * byte-identical to an untraced run (the TracerInvisible guarantee is
- * what makes enabling tracing on an existing sweep safe).
+ * When the run is traced, @p trace_doc receives the standalone trace
+ * document; the returned metrics document stays byte-identical to an
+ * untraced run (the TracerInvisible guarantee is what makes enabling
+ * tracing on an existing sweep safe).
  */
-/** Per-point durability wiring, resolved by the retry loop. */
-struct PointCkpt
-{
-    std::uint64_t every = 0;  ///< Periodic cadence (0 = off).
-    std::string dir;          ///< DIR/ckpt/<id> when enabled.
-    bool restore = false;     ///< Resume from dir's latest snapshot.
-    std::uint64_t killAt = 0; ///< GETM_SWEEP_KILL_AT crash hook.
-};
-
 std::string
-simulatePoint(const SweepPoint &point, std::uint64_t trace_tx,
-              const PointCkpt &ckpt, bool &verified,
+simulatePoint(const SweepPoint &run, bool &verified,
               std::string &trace_doc)
 {
-    GpuConfig run_cfg = point.config;
-    run_cfg.traceTx = trace_tx;
-    // Like traceTx, the durability knobs are applied after enumeration
-    // and absent from provenance (docs/DURABILITY.md): a checkpointed,
-    // restored, or crash-cut point hashes and reports identically to
-    // an uninterrupted one.
-    run_cfg.ckptEvery = ckpt.every;
-    run_cfg.ckptDir = ckpt.dir;
-    if (ckpt.restore)
-        run_cfg.restorePath = ckpt.dir;
-    run_cfg.ckptKillAt = ckpt.killAt;
-    GpuSystem gpu(run_cfg);
-    auto workload = makeWorkload(point.bench, point.scale, point.seed);
-    workload->setup(gpu, point.protocol == ProtocolKind::FgLock);
-    RunResult result =
-        gpu.run(workload->kernel(), workload->numThreads(),
-                point.maxCycles);
-
-    // Label hot granules the workload can explain (zipf head keys, hot
-    // accounts). Workloads without a mapping leave rows untouched, so
-    // their documents keep their exact pre-label bytes.
-    for (HotAddrRow &row : result.obs.hotAddrs)
-        workload->addrInfo(row.addr, row.label);
-
-    std::string why;
-    verified = workload->verify(gpu, why);
-    // A runtime-checker violation is a verification failure: the point
-    // ran, but its execution was provably not serializable/opaque.
-    if (result.check.totalViolations)
-        verified = false;
-
-    MetricsMeta meta;
-    meta.bench = point.bench.token();
-    meta.protocol = protocolName(point.protocol);
-    meta.scale = point.scale;
-    meta.seed = point.seed;
-    meta.threads = workload->numThreads();
-    meta.verified = verified;
-    meta.cycles = result.cycles;
-    meta.commits = result.commits;
-    meta.aborts = result.aborts;
-    meta.txExecCycles = result.txExecCycles;
-    meta.txWaitCycles = result.txWaitCycles;
-    meta.xbarFlits = result.xbarFlits;
-    meta.rollovers = result.rollovers;
-    meta.maxLogicalTs = result.maxLogicalTs;
-    meta.config = configProvenance(point.config);
-    if (result.check.totalViolations) {
-        meta.checkLevel = checkLevelName(result.check.level);
-        for (unsigned i = 0;
-             i < static_cast<unsigned>(ViolationKind::Count); ++i)
-            if (result.check.byKind[i])
-                meta.checkViolations.emplace_back(
-                    violationKindName(static_cast<ViolationKind>(i)),
-                    result.check.byKind[i]);
-    }
-    if (result.obs.txTrace.enabled) {
-        trace_doc = txTraceToJson(result.obs.txTrace, point.id);
+    PointResult out = runSweepPoint(run);
+    verified = out.meta.verified;
+    if (out.run.obs.txTrace.enabled) {
+        trace_doc = txTraceToJson(out.run.obs.txTrace, run.id);
         // The trace lives in the side file only: stripping it here
         // keeps the per-point document — and thus sweep.json — byte
         // identical to an untraced sweep.
-        result.obs.txTrace.enabled = false;
+        out.run.obs.txTrace.enabled = false;
     }
-    return metricsToJson(meta, result.stats, result.obs);
-}
-
-/** Identity-only meta for a point that never produced a result. */
-MetricsMeta
-failureMeta(const SweepPoint &point)
-{
-    MetricsMeta meta;
-    meta.bench = point.bench.token();
-    meta.protocol = protocolName(point.protocol);
-    meta.scale = point.scale;
-    meta.seed = point.seed;
-    meta.config = configProvenance(point.config);
-    return meta;
+    return metricsToJson(out.meta, out.run.stats, out.run.obs);
 }
 
 /**
@@ -224,12 +127,20 @@ failureStatusOf(const std::string &doc)
 }
 
 /**
- * Duplicate ids would make two workers (or two shards) race on the
- * same result files; reject them before anything runs.
+ * Enumerate @p manifest, rejecting an empty sweep and duplicate ids
+ * (two workers or two shards would race on the same result files)
+ * before anything runs.
  */
 bool
-checkUniqueIds(const std::vector<SweepPoint> &points, std::string &error)
+enumeratePoints(const SweepManifest &manifest,
+                std::vector<SweepPoint> &points, std::string &error)
 {
+    if (!manifest.enumerate(points, error))
+        return false;
+    if (points.empty()) {
+        error = "manifest enumerates no points";
+        return false;
+    }
     std::map<std::string, unsigned> seen;
     for (const SweepPoint &point : points)
         if (++seen[point.id] == 2) {
@@ -245,7 +156,7 @@ checkUniqueIds(const std::vector<SweepPoint> &points, std::string &error)
  * and sorted by id, then every per-point document spliced in id
  * order. Shared by the live run and --merge so both emit identical
  * bytes from identical point results. @p load fetches one validated
- * per-point document by id; @p failures must already be sorted.
+ * per-point document by id; @p failures is sorted by id in place.
  */
 bool
 writeMergedDocument(
@@ -253,9 +164,13 @@ writeMergedDocument(
     const std::vector<SweepPoint> &points,
     const std::function<bool(const std::string &, std::string &,
                              std::string &)> &load,
-    const std::vector<SweepFailure> &failures,
+    std::vector<SweepFailure> &failures,
     const std::string &out_path, std::string &error)
 {
+    std::sort(failures.begin(), failures.end(),
+              [](const SweepFailure &a, const SweepFailure &b) {
+                  return a.id < b.id;
+              });
     std::map<std::string, const SweepPoint *> by_id;
     for (const SweepPoint &point : points)
         by_id.emplace(point.id, &point);
@@ -297,7 +212,7 @@ writeMergedDocument(
     w.endObject();
     w.endObject();
 
-    return writeFile(out_path, w.take() + "\n", error);
+    return writeTextFile(out_path, w.take() + "\n", error);
 }
 
 } // namespace
@@ -309,13 +224,7 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
     outcome = SweepOutcome{};
 
     std::vector<SweepPoint> points;
-    if (!manifest.enumerate(points, error))
-        return false;
-    if (points.empty()) {
-        error = "manifest enumerates no points";
-        return false;
-    }
-    if (!checkUniqueIds(points, error))
+    if (!enumeratePoints(manifest, points, error))
         return false;
 
     // Deterministic sharding: keep every shardCount-th point starting
@@ -410,11 +319,8 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
         // there -- left behind by a killed sweep invocation or by a
         // failed attempt's final checkpoint -- makes the next attempt
         // resume mid-kernel instead of re-simulating from cycle 0.
-        PointCkpt ckpt;
-        ckpt.every = options.ckptEvery;
-        if (ckpt.every)
-            ckpt.dir = options.dir + "/ckpt/" + point.id;
-        ckpt.killAt = kill_at;
+        const std::string ckpt_dir =
+            options.ckptEvery ? options.dir + "/ckpt/" + point.id : "";
 
         // Attempt the point, retrying after a typed simulation
         // failure up to the manifest's `retries` budget. Failures are
@@ -428,20 +334,27 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
         bool interrupted = false;
         unsigned attempt = 0;
         for (;;) {
-            ckpt.restore =
-                ckpt.every != 0 && checkpointAvailable(ckpt.dir);
             // With checkpointing on, every attempt keeps the original
             // seed -- the snapshot's config hash covers it -- so
             // resume-from-checkpoint replaces the classic reseed
             // schedule; reseeds still apply when nothing can resume.
-            const SweepPoint &attempt_point =
-                (attempt == 0 || ckpt.every)
-                    ? point
-                    : reseededPoint(point, attempt);
+            SweepPoint run = (attempt == 0 || options.ckptEvery)
+                                 ? point
+                                 : reseededPoint(point, attempt);
+            // Like the trace cadence, the durability knobs are applied
+            // after enumeration and absent from provenance
+            // (docs/DURABILITY.md): a checkpointed, restored, or
+            // crash-cut point hashes and reports identically to an
+            // uninterrupted one.
+            run.config.traceTx = options.traceTx;
+            run.config.ckptEvery = options.ckptEvery;
+            run.config.ckptDir = ckpt_dir;
+            if (options.ckptEvery && checkpointAvailable(ckpt_dir))
+                run.config.restorePath = ckpt_dir;
+            run.config.ckptKillAt = kill_at;
             bool checkpoint_fault = false;
             try {
-                doc = simulatePoint(attempt_point, options.traceTx, ckpt,
-                                    verified, trace_doc);
+                doc = simulatePoint(run, verified, trace_doc);
                 failed = false;
             } catch (const SimError &e) {
                 failed = true;
@@ -464,9 +377,9 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
                 break;
             // A snapshot the decoder rejects must not poison every
             // retry: drop the checkpoint directory and cold-start.
-            if (checkpoint_fault && !ckpt.dir.empty()) {
+            if (checkpoint_fault && !ckpt_dir.empty()) {
                 std::error_code ec;
-                std::filesystem::remove_all(ckpt.dir, ec);
+                std::filesystem::remove_all(ckpt_dir, ec);
             }
             ++attempt;
             {
@@ -492,15 +405,15 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
             failure.attempts = attempt + 1;
             doc = failureToJson(failureMeta(point), failure);
         }
-        if (ckpt.every) {
-            if (failed && checkpointAvailable(ckpt.dir)) {
+        if (options.ckptEvery) {
+            if (failed && checkpointAvailable(ckpt_dir)) {
                 // Park the newest snapshot next to the failure
                 // document (the SimError path wrote it moments ago),
                 // so a stuck run degrades into a resumable one even
                 // after the checkpoint directory is cleaned.
                 try {
                     const std::string last =
-                        ckpt::resolveRestorePath(ckpt.dir);
+                        ckpt::resolveRestorePath(ckpt_dir);
                     std::error_code ec;
                     std::filesystem::copy_file(
                         last,
@@ -514,7 +427,7 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
             } else if (!failed) {
                 // A completed point no longer needs its snapshots.
                 std::error_code ec;
-                std::filesystem::remove_all(ckpt.dir, ec);
+                std::filesystem::remove_all(ckpt_dir, ec);
             }
         }
 
@@ -523,13 +436,13 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
         // meanwhile); a successful point stores the real hash.
         std::string write_error;
         bool wrote =
-            writeFile(json_path, doc, write_error) &&
-            writeFile(hash_path, failed ? "failed " + hash : hash,
-                      write_error);
+            writeTextFile(json_path, doc, write_error) &&
+            writeTextFile(hash_path, failed ? "failed " + hash : hash,
+                          write_error);
         if (wrote && !failed && !trace_doc.empty())
-            wrote = writeFile(points_dir + "/" + point.id +
-                                  ".trace.json",
-                              trace_doc, write_error);
+            wrote = writeTextFile(points_dir + "/" + point.id +
+                                      ".trace.json",
+                                  trace_doc, write_error);
 
         std::lock_guard<std::mutex> lock(mtx);
         ++outcome.ran;
@@ -577,10 +490,6 @@ runSweep(const SweepManifest &manifest, const SweepOptions &options,
 
     // Merge, keyed and sorted by id so the bytes are independent of
     // execution order and worker count.
-    std::sort(outcome.failures.begin(), outcome.failures.end(),
-              [](const SweepFailure &a, const SweepFailure &b) {
-                  return a.id < b.id;
-              });
     auto load = [&](const std::string &id, std::string &doc,
                     std::string &load_error) {
         if (!readFile(points_dir + "/" + id + ".json", doc)) {
@@ -615,15 +524,9 @@ mergeSweep(const SweepManifest &manifest, const SweepOptions &options,
     }
 
     std::vector<SweepPoint> points;
-    if (!manifest.enumerate(points, error))
+    if (!enumeratePoints(manifest, points, error))
         return false;
     outcome.total = static_cast<unsigned>(points.size());
-    if (points.empty()) {
-        error = "manifest enumerates no points";
-        return false;
-    }
-    if (!checkUniqueIds(points, error))
-        return false;
 
     // Locate and validate every point's document up front, rebuilding
     // the failures head from the documents themselves, so the merged
@@ -659,10 +562,6 @@ mergeSweep(const SweepManifest &manifest, const SweepOptions &options,
         }
         docs.emplace(point.id, std::move(doc));
     }
-    std::sort(outcome.failures.begin(), outcome.failures.end(),
-              [](const SweepFailure &a, const SweepFailure &b) {
-                  return a.id < b.id;
-              });
 
     const std::string out_path = options.outPath.empty()
                                      ? options.dir + "/sweep.json"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/json.hh"
@@ -109,6 +110,18 @@ registeredBenchNames()
         out += info.name;
     }
     return out;
+}
+
+void
+printBenchRegistry()
+{
+    for (const BenchInfo &info : benchRegistry()) {
+        std::printf("%-6s %s\n", info.name, info.summary);
+        for (const BenchParamInfo &param : info.params)
+            std::printf("       %-10s %-12g default; range [%g, %g]: %s\n",
+                        param.key, param.def, param.min, param.max,
+                        param.help);
+    }
 }
 
 std::string

@@ -89,6 +89,10 @@ const BenchInfo *findBench(const std::string &name);
 /** Comma-separated canonical names, for error messages. */
 std::string registeredBenchNames();
 
+/** Print every family with its parameters, defaults and ranges (the
+ *  CLIs' --list-benches). */
+void printBenchRegistry();
+
 /**
  * Parse `NAME[:key=value]...` into a canonical spec.
  * @return false with @p error set (listing registered names, or the

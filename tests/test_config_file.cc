@@ -88,6 +88,37 @@ TEST(ConfigFile, WarpsPerCoreCappedAtSixtyFour)
     EXPECT_NE(error.find("invalid config"), std::string::npos) << error;
 }
 
+TEST(ConfigFile, ProvenanceRoundTrips)
+{
+    // Move every provenance key off its default (each value + 1 stays
+    // valid), so every encoding (0 = unlimited/off, KiB <-> bytes,
+    // bool) is exercised in both directions.
+    const auto defaults = configProvenance(GpuConfig::gtx480());
+    std::string bumped;
+    for (const auto &[key, value] : defaults)
+        if (key != "protocol")
+            bumped += key + " = " +
+                      std::to_string(std::stoull(value) + 1) + "\n";
+    GpuConfig cfg = GpuConfig::gtx480();
+    std::string error;
+    ASSERT_TRUE(applyConfigText(bumped, cfg, error)) << error;
+    const auto provenance = configProvenance(cfg);
+    ASSERT_EQ(provenance.size(), defaults.size());
+    for (std::size_t i = 1; i < provenance.size(); ++i)
+        EXPECT_NE(provenance[i].second, defaults[i].second)
+            << provenance[i].first;
+
+    // Render it as a config file (protocol is not a file key) and
+    // apply it to a fresh config.
+    std::string rendered;
+    for (const auto &[key, value] : provenance)
+        if (key != "protocol")
+            rendered += key + " = " + value + "\n";
+    GpuConfig reloaded = GpuConfig::gtx480();
+    ASSERT_TRUE(applyConfigText(rendered, reloaded, error)) << error;
+    EXPECT_EQ(configProvenance(reloaded), provenance);
+}
+
 TEST(ConfigFile, MissingFileReportsError)
 {
     GpuConfig cfg;

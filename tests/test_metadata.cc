@@ -225,6 +225,23 @@ TEST(StallBuffer, RejectsWhenLineFull)
     EXPECT_FALSE(buffer.enqueue(0x100, request(3)));
 }
 
+TEST(StallBuffer, RejectedEnqueueLeavesMessageIntact)
+{
+    StallBuffer buffer("s", {1, 1});
+    EXPECT_TRUE(buffer.enqueue(0x100, request(1)));
+    MemMsg msg = request(2);
+    msg.wid = 5;
+    msg.ops = {LaneOp{3, 0x108, 42, 1}, LaneOp{7, 0x10c, 43, 0}};
+    EXPECT_FALSE(buffer.enqueue(0x100, std::move(msg)));
+    // A rejected request is not moved from (the contract under test).
+    EXPECT_EQ(msg.wid, 5u);
+    EXPECT_EQ(msg.ts, 2u);
+    ASSERT_EQ(msg.ops.size(), 2u);
+    EXPECT_EQ(msg.ops[0].addr, 0x108u);
+    EXPECT_EQ(msg.ops[1].value, 43u);
+    EXPECT_EQ(buffer.occupancy(), 1u);
+}
+
 TEST(StallBuffer, RejectsWhenAllLinesBusy)
 {
     StallBuffer buffer("s", {2, 4});

@@ -240,12 +240,12 @@ TEST(SweepManifest, ConcurrencyOptResolvesTheTableIVOptimum)
     std::vector<SweepPoint> points;
     ASSERT_TRUE(manifest.enumerate(points, error)) << error;
     ASSERT_EQ(points.size(), 6u);
-    EXPECT_EQ(points[0].txWarpLimit,
+    EXPECT_EQ(points[0].config.core.txWarpLimit,
               optimalConcurrency(BenchId::HtH, ProtocolKind::Getm));
-    EXPECT_EQ(points[1].txWarpLimit, 2u);
-    EXPECT_EQ(points[2].txWarpLimit, 0xffffffffu); // 0 = unlimited
-    EXPECT_EQ(points[1].id, "HT-H+GETM+concurrency=2");
     EXPECT_EQ(points[1].config.core.txWarpLimit, 2u);
+    EXPECT_EQ(points[2].config.core.txWarpLimit,
+              0xffffffffu); // 0 = unlimited
+    EXPECT_EQ(points[1].id, "HT-H+GETM+concurrency=2");
 }
 
 TEST(SweepManifest, ParsesRetriesAndKeepsThemOutOfTheSpecHash)

@@ -4,7 +4,11 @@
  *
  * Runs any Table III benchmark under any protocol with the knobs the
  * evaluation sweeps, and prints a result summary (optionally the full
- * statistics dump or the kernel disassembly). Examples:
+ * statistics dump or the kernel disassembly). It is a one-point sweep:
+ * the flags resolve into a SweepPoint exactly as a manifest does, and
+ * runSweepPoint() (sweep/run_point.hh) runs, checks and judges it, so a
+ * point gives the same metrics document here and under getm-sweep.
+ * Examples:
  *
  *     getm_sim --bench HT-H --protocol getm
  *     getm_sim --bench ATM --protocol warptm --scale 0.5 --stats
@@ -21,14 +25,12 @@
 
 #include "check/checker.hh"
 #include "check/fault.hh"
-#include "check/reference_exec.hh"
 #include "common/sim_error.hh"
 #include "common/stop_flag.hh"
 #include "gpu/config_file.hh"
-#include "gpu/gpu_system.hh"
-#include "obs/metrics.hh"
 #include "power/tm_structures.hh"
-#include "workloads/registry.hh"
+#include "sweep/run_point.hh"
+#include "workloads/workload.hh"
 
 using namespace getm;
 
@@ -109,59 +111,111 @@ usage(const char *argv0)
         argv0);
 }
 
-void
-listBenches()
-{
-    for (const BenchInfo &info : benchRegistry()) {
-        std::printf("%-6s %s\n", info.name, info.summary);
-        for (const BenchParamInfo &param : info.params)
-            std::printf("       %-10s %-12g default; range [%g, %g]: %s\n",
-                        param.key, param.def, param.min, param.max,
-                        param.help);
-    }
-}
-
-std::optional<ProtocolKind>
-parseProtocol(std::string name)
-{
-    for (auto &ch : name)
-        ch = static_cast<char>(std::tolower(ch));
-    if (name == "getm")
-        return ProtocolKind::Getm;
-    if (name == "warptm" || name == "warptm-ll")
-        return ProtocolKind::WarpTmLL;
-    if (name == "warptm-el" || name == "el")
-        return ProtocolKind::WarpTmEL;
-    if (name == "eapg")
-        return ProtocolKind::Eapg;
-    if (name == "fglock" || name == "lock")
-        return ProtocolKind::FgLock;
-    return std::nullopt;
-}
-
+/** Print @p out (stderr checker summary, metrics file, text or
+ *  --json summary); returns the exit status. */
 int
-runSimulation(const WorkloadSpec &bench, ProtocolKind protocol,
-              double scale, std::uint64_t seed, GpuConfig &cfg,
-              bool dump_stats, bool disasm, bool json,
-              const std::string &metrics_path,
-              std::uint64_t max_cycles);
+printResult(const SweepPoint &point, const PointResult &out,
+            bool dump_stats, bool json, const std::string &metrics_path)
+{
+    const RunResult &result = out.run;
+    const bool ok = out.meta.verified;
+    if (point.config.checkLevel > 0) {
+        std::fprintf(stderr, "%s\n", result.check.summary().c_str());
+        for (const Violation &v : result.check.samples)
+            std::fprintf(stderr,
+                         "  %s addr=%#llx tx=%llu expected=%u actual=%u"
+                         "%s%s\n",
+                         violationKindName(v.kind),
+                         static_cast<unsigned long long>(v.addr),
+                         static_cast<unsigned long long>(v.tx),
+                         v.expected, v.actual,
+                         v.detail.empty() ? "" : ": ",
+                         v.detail.c_str());
+    }
+
+    if (!metrics_path.empty()) {
+        std::string error;
+        if (!writeMetricsFile(metrics_path, out.meta, result.stats,
+                              result.obs, error)) {
+            std::fprintf(stderr, "metrics: %s\n", error.c_str());
+            return 1;
+        }
+        if (!json)
+            std::printf("wrote metrics to %s\n", metrics_path.c_str());
+    }
+
+    if (json) {
+        std::printf("{\"bench\":\"%s\",\"protocol\":\"%s\","
+                    "\"scale\":%g,\"threads\":%llu,"
+                    "\"cycles\":%llu,\"commits\":%llu,"
+                    "\"aborts\":%llu,\"tx_exec\":%llu,"
+                    "\"tx_wait\":%llu,\"flits\":%llu,"
+                    "\"rollovers\":%llu,\"verified\":%s}\n",
+                    out.meta.bench.c_str(), out.meta.protocol.c_str(),
+                    point.scale,
+                    static_cast<unsigned long long>(out.meta.threads),
+                    static_cast<unsigned long long>(result.cycles),
+                    static_cast<unsigned long long>(result.commits),
+                    static_cast<unsigned long long>(result.aborts),
+                    static_cast<unsigned long long>(result.txExecCycles),
+                    static_cast<unsigned long long>(result.txWaitCycles),
+                    static_cast<unsigned long long>(result.xbarFlits),
+                    static_cast<unsigned long long>(result.rollovers),
+                    ok ? "true" : "false");
+        return ok ? 0 : exitVerification;
+    }
+    std::printf("cycles        %llu\n",
+                static_cast<unsigned long long>(result.cycles));
+    std::printf("commits       %llu\n",
+                static_cast<unsigned long long>(result.commits));
+    std::printf("aborts        %llu (%.0f /1K commits)\n",
+                static_cast<unsigned long long>(result.aborts),
+                result.abortsPer1kCommits());
+    for (unsigned i = 0; i < numAbortReasons; ++i)
+        if (result.obs.abortLanesByReason[i])
+            std::printf("  %-21s %llu\n",
+                        abortReasonName(static_cast<AbortReason>(i)),
+                        static_cast<unsigned long long>(
+                            result.obs.abortLanesByReason[i]));
+    std::printf("tx exec/wait  %llu / %llu warp-cycles\n",
+                static_cast<unsigned long long>(result.txExecCycles),
+                static_cast<unsigned long long>(result.txWaitCycles));
+    std::printf("xbar flits    %llu\n",
+                static_cast<unsigned long long>(result.xbarFlits));
+    if (result.rollovers)
+        std::printf("rollovers     %llu\n",
+                    static_cast<unsigned long long>(result.rollovers));
+    if (out.labelled) {
+        std::printf("hot addresses\n");
+        for (const HotAddrRow &row : result.obs.hotAddrs) {
+            if (row.label.empty())
+                continue;
+            std::printf("  %#10llx %8llu events  %s\n",
+                        static_cast<unsigned long long>(row.addr),
+                        static_cast<unsigned long long>(row.total),
+                        row.label.c_str());
+        }
+    }
+    std::printf("verification  %s%s%s\n", ok ? "PASS" : "FAIL",
+                ok ? "" : ": ", ok ? "" : out.why.c_str());
+    if (dump_stats)
+        std::printf("\n%s", result.stats.dump().c_str());
+    return ok ? 0 : exitVerification;
+}
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    WorkloadSpec bench{"HT-H"};
-    ProtocolKind protocol = ProtocolKind::Getm;
-    double scale = 0.25;
-    std::uint64_t seed = 7;
-    std::optional<unsigned> concurrency;
-    GpuConfig cfg = GpuConfig::gtx480();
+    // The flags fill a one-point sweep; its defaults are the CLI's.
+    SweepPoint point;
+    GpuConfig &cfg = point.config;
+    std::optional<std::uint64_t> concurrency;
     bool dump_stats = false, disasm = false, area = false;
     bool json = false;
     std::string metrics_path;
     bool sample_interval_set = false;
-    std::uint64_t max_cycles = 2'000'000'000ull;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -175,25 +229,21 @@ main(int argc, char **argv)
         };
         if (arg == "--bench") {
             std::string spec_error;
-            if (!parseWorkloadSpec(next(), bench, spec_error)) {
+            if (!parseWorkloadSpec(next(), point.bench, spec_error)) {
                 std::fprintf(stderr, "%s\n", spec_error.c_str());
                 return 2;
             }
         } else if (arg == "--protocol") {
-            auto parsed = parseProtocol(next());
-            if (!parsed) {
+            if (!parseProtocolName(next(), point.protocol)) {
                 std::fprintf(stderr, "unknown protocol\n");
                 return 2;
             }
-            protocol = *parsed;
         } else if (arg == "--scale") {
-            scale = std::atof(next());
+            point.scale = std::atof(next());
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            point.seed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--concurrency") {
-            const unsigned long value = std::strtoul(next(), nullptr, 10);
-            concurrency = value == 0 ? 0xffffffffu
-                                     : static_cast<unsigned>(value);
+            concurrency = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--cores") {
             cfg.numCores = static_cast<unsigned>(std::atoi(next()));
         } else if (arg == "--partitions") {
@@ -252,7 +302,7 @@ main(int argc, char **argv)
             cfg.injectFault = static_cast<unsigned>(kind);
             cfg.injectProb = prob;
         } else if (arg == "--max-cycles") {
-            max_cycles = std::strtoull(next(), nullptr, 10);
+            point.maxCycles = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--watchdog-cycles") {
             cfg.watchdogCycles = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--timeout-sec") {
@@ -280,7 +330,7 @@ main(int argc, char **argv)
                         "fglock\n");
             return 0;
         } else if (arg == "--list-benches") {
-            listBenches();
+            printBenchRegistry();
             return 0;
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
@@ -293,7 +343,7 @@ main(int argc, char **argv)
     }
 
     if (area) {
-        const OverheadReport report = tmOverheads(protocol, cfg);
+        const OverheadReport report = tmOverheads(point.protocol, cfg);
         for (const auto &row : report.rows)
             std::printf("%-32s %7.1f KB x%-3u %8.3f mm^2 %9.2f mW\n",
                         row.name.c_str(), row.kilobytesPerInstance,
@@ -304,15 +354,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    cfg.protocol = protocol;
-    cfg.seed = seed;
-    cfg.core.txWarpLimit =
-        concurrency ? *concurrency : optimalConcurrency(bench, protocol);
-    // A metrics document without time-series is half a metrics document:
-    // default the sampler on unless the user chose an interval.
-    if (!metrics_path.empty() && !sample_interval_set &&
-        cfg.sampleInterval == 0)
-        cfg.sampleInterval = 512;
+    point.resolve(concurrency,
+                  !metrics_path.empty() && !sample_interval_set);
 
     // Graceful shutdown: SIGINT/SIGTERM set a flag the simulation
     // loops poll at every cycle boundary; the run then stops cleanly
@@ -322,9 +365,25 @@ main(int argc, char **argv)
     std::signal(SIGTERM, [](int sig) { requestStop(sig); });
 
     try {
-        return runSimulation(bench, protocol, scale, seed, cfg,
-                             dump_stats, disasm, json, metrics_path,
-                             max_cycles);
+        const PointResult out =
+            runSweepPoint(point, [&](const Workload &workload) {
+                if (disasm) {
+                    std::printf("%s",
+                                workload.kernel().disassemble().c_str());
+                    return false;
+                }
+                if (!json)
+                    std::printf("running %s under %s (scale %.3g, %llu "
+                                "threads)...\n",
+                                point.bench.token().c_str(),
+                                protocolName(point.protocol), point.scale,
+                                static_cast<unsigned long long>(
+                                    workload.numThreads()));
+                return true;
+            });
+        return disasm ? 0
+                      : printResult(point, out, dump_stats, json,
+                                    metrics_path);
     } catch (const SimError &e) {
         // A typed simulation pathology: dump the diagnostic snapshot,
         // export a failure document when metrics were requested, and
@@ -333,19 +392,14 @@ main(int argc, char **argv)
         // failure (3) and usage errors (2).
         std::fprintf(stderr, "%s\n", e.diagnostic().toText().c_str());
         if (!metrics_path.empty()) {
-            MetricsMeta meta;
-            meta.bench = bench.token();
-            meta.protocol = protocolName(protocol);
-            meta.scale = scale;
-            meta.seed = seed;
-            meta.config = configProvenance(cfg);
             MetricsFailure failure;
             failure.status = simErrorStatus(e.kind());
             failure.kind = simErrorKindName(e.kind());
             failure.message = e.diagnostic().message;
             failure.diagnosticJson = e.diagnostic().toJson();
             std::string error;
-            if (!writeFailureFile(metrics_path, meta, failure, error))
+            if (!writeFailureFile(metrics_path, failureMeta(point),
+                                  failure, error))
                 std::fprintf(stderr, "metrics: %s\n", error.c_str());
             else if (!json)
                 std::printf("wrote failure document to %s\n",
@@ -356,171 +410,3 @@ main(int argc, char **argv)
         return simErrorExitCode(e.kind());
     }
 }
-
-namespace {
-
-int
-runSimulation(const WorkloadSpec &bench, ProtocolKind protocol,
-              double scale, std::uint64_t seed, GpuConfig &cfg,
-              bool dump_stats, bool disasm, bool json,
-              const std::string &metrics_path,
-              std::uint64_t max_cycles)
-{
-    GpuSystem gpu(cfg);
-    auto workload = makeWorkload(bench, scale, seed);
-    workload->setup(gpu, protocol == ProtocolKind::FgLock);
-
-    if (disasm) {
-        std::printf("%s", workload->kernel().disassemble().c_str());
-        return 0;
-    }
-
-    if (!json)
-        std::printf("running %s under %s (scale %.3g, %llu threads)...\n",
-                    bench.token().c_str(), protocolName(protocol), scale,
-                    static_cast<unsigned long long>(
-                        workload->numThreads()));
-    RunResult result = gpu.run(workload->kernel(),
-                               workload->numThreads(), max_cycles);
-
-    // Label hot granules the workload can explain (zipf head keys,
-    // hot accounts); paper workloads leave every label empty.
-    bool have_labels = false;
-    for (HotAddrRow &row : result.obs.hotAddrs)
-        have_labels |= workload->addrInfo(row.addr, row.label);
-
-    Checker *checker = gpu.checkerPtr();
-    if (checker && checker->level() >= CheckLevel::Ref) {
-        // Ref level: replay the kernel on a single-threaded reference
-        // executor over an identically-seeded memory image and compare
-        // final contents. Order-sensitive workloads can legitimately
-        // diverge (see check/reference_exec.hh).
-        GpuConfig ref_cfg = cfg;
-        ref_cfg.checkLevel = 0;
-        ref_cfg.injectFault = 0;
-        GpuSystem ref_gpu(ref_cfg);
-        auto ref_workload = makeWorkload(bench, scale, seed);
-        ref_workload->setup(ref_gpu, protocol == ProtocolKind::FgLock);
-        check::referenceRun(ref_workload->kernel(),
-                            ref_workload->numThreads(), ref_gpu.memory());
-        checker->crossCheckReference(ref_gpu.memory(), gpu.memory());
-        result.check = checker->report();
-    }
-
-    const bool check_clean = result.check.totalViolations == 0;
-    if (checker) {
-        std::fprintf(stderr, "%s\n", result.check.summary().c_str());
-        for (const Violation &v : result.check.samples)
-            std::fprintf(stderr,
-                         "  %s addr=%#llx tx=%llu expected=%u actual=%u"
-                         "%s%s\n",
-                         violationKindName(v.kind),
-                         static_cast<unsigned long long>(v.addr),
-                         static_cast<unsigned long long>(v.tx),
-                         v.expected, v.actual,
-                         v.detail.empty() ? "" : ": ",
-                         v.detail.c_str());
-    }
-
-    std::string why;
-    const bool ok = workload->verify(gpu, why) && check_clean;
-    if (!check_clean && why.empty())
-        why = "runtime checker reported violations";
-
-    if (!metrics_path.empty()) {
-        MetricsMeta meta;
-        meta.bench = bench.token();
-        meta.protocol = protocolName(protocol);
-        meta.scale = scale;
-        meta.seed = seed;
-        meta.threads = workload->numThreads();
-        meta.verified = ok;
-        meta.cycles = result.cycles;
-        meta.commits = result.commits;
-        meta.aborts = result.aborts;
-        meta.txExecCycles = result.txExecCycles;
-        meta.txWaitCycles = result.txWaitCycles;
-        meta.xbarFlits = result.xbarFlits;
-        meta.rollovers = result.rollovers;
-        meta.maxLogicalTs = result.maxLogicalTs;
-        meta.config = configProvenance(cfg);
-        if (result.check.totalViolations) {
-            meta.checkLevel = checkLevelName(result.check.level);
-            for (unsigned i = 0;
-                 i < static_cast<unsigned>(ViolationKind::Count); ++i)
-                if (result.check.byKind[i])
-                    meta.checkViolations.emplace_back(
-                        violationKindName(static_cast<ViolationKind>(i)),
-                        result.check.byKind[i]);
-        }
-        std::string error;
-        if (!writeMetricsFile(metrics_path, meta, result.stats,
-                              result.obs, error)) {
-            std::fprintf(stderr, "metrics: %s\n", error.c_str());
-            return 1;
-        }
-        if (!json)
-            std::printf("wrote metrics to %s\n", metrics_path.c_str());
-    }
-
-    if (json) {
-        std::printf("{\"bench\":\"%s\",\"protocol\":\"%s\","
-                    "\"scale\":%g,\"threads\":%llu,"
-                    "\"cycles\":%llu,\"commits\":%llu,"
-                    "\"aborts\":%llu,\"tx_exec\":%llu,"
-                    "\"tx_wait\":%llu,\"flits\":%llu,"
-                    "\"rollovers\":%llu,\"verified\":%s}\n",
-                    bench.token().c_str(), protocolName(protocol),
-                    scale,
-                    static_cast<unsigned long long>(
-                        workload->numThreads()),
-                    static_cast<unsigned long long>(result.cycles),
-                    static_cast<unsigned long long>(result.commits),
-                    static_cast<unsigned long long>(result.aborts),
-                    static_cast<unsigned long long>(result.txExecCycles),
-                    static_cast<unsigned long long>(result.txWaitCycles),
-                    static_cast<unsigned long long>(result.xbarFlits),
-                    static_cast<unsigned long long>(result.rollovers),
-                    ok ? "true" : "false");
-        return ok ? 0 : exitVerification;
-    }
-    std::printf("cycles        %llu\n",
-                static_cast<unsigned long long>(result.cycles));
-    std::printf("commits       %llu\n",
-                static_cast<unsigned long long>(result.commits));
-    std::printf("aborts        %llu (%.0f /1K commits)\n",
-                static_cast<unsigned long long>(result.aborts),
-                result.abortsPer1kCommits());
-    for (unsigned i = 0; i < numAbortReasons; ++i)
-        if (result.obs.abortLanesByReason[i])
-            std::printf("  %-21s %llu\n",
-                        abortReasonName(static_cast<AbortReason>(i)),
-                        static_cast<unsigned long long>(
-                            result.obs.abortLanesByReason[i]));
-    std::printf("tx exec/wait  %llu / %llu warp-cycles\n",
-                static_cast<unsigned long long>(result.txExecCycles),
-                static_cast<unsigned long long>(result.txWaitCycles));
-    std::printf("xbar flits    %llu\n",
-                static_cast<unsigned long long>(result.xbarFlits));
-    if (result.rollovers)
-        std::printf("rollovers     %llu\n",
-                    static_cast<unsigned long long>(result.rollovers));
-    if (have_labels) {
-        std::printf("hot addresses\n");
-        for (const HotAddrRow &row : result.obs.hotAddrs) {
-            if (row.label.empty())
-                continue;
-            std::printf("  %#10llx %8llu events  %s\n",
-                        static_cast<unsigned long long>(row.addr),
-                        static_cast<unsigned long long>(row.total),
-                        row.label.c_str());
-        }
-    }
-    std::printf("verification  %s%s%s\n", ok ? "PASS" : "FAIL",
-                ok ? "" : ": ", ok ? "" : why.c_str());
-    if (dump_stats)
-        std::printf("\n%s", result.stats.dump().c_str());
-    return ok ? 0 : exitVerification;
-}
-
-} // namespace

@@ -155,14 +155,7 @@ main(int argc, char **argv)
         } else if (arg == "--list") {
             list = true;
         } else if (arg == "--list-benches") {
-            for (const BenchInfo &info : benchRegistry()) {
-                std::printf("%-6s %s\n", info.name, info.summary);
-                for (const BenchParamInfo &param : info.params)
-                    std::printf("       %-10s %-12g default; range "
-                                "[%g, %g]: %s\n",
-                                param.key, param.def, param.min,
-                                param.max, param.help);
-            }
+            printBenchRegistry();
             return 0;
         } else if (arg == "--quiet") {
             options.progress = false;
